@@ -21,7 +21,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Name, one-line description and entry point of every suite — the
-/// single source of truth the `experiments` index prints. Keep in sync
+/// single source of truth `nn-bench --list` prints. Keep in sync
 /// with the `[[bench]]` shell targets in `Cargo.toml`.
 pub const SUITES: [(&str, &str, fn()); 12] = [
     (

@@ -3,9 +3,10 @@
 //! The same application (a VoIP call, a web fetch) must run unchanged over
 //! three transports — neutralized (this crate's client/server stacks),
 //! plain UDP (the baseline the discriminatory ISP can classify), and any
-//! future variant — so the A/B experiments in EXPERIMENTS.md compare
-//! *network* treatment, not application differences. Workload generators
-//! in `nn-apps` implement [`AppSource`]; host nodes drive it.
+//! future variant — so the lab's A/B comparisons measure *network*
+//! treatment, not application differences. The lab's workload
+//! generators and population cohorts implement [`AppSource`]; host nodes
+//! drive it.
 
 use nn_netsim::SimTime;
 use rand::rngs::StdRng;

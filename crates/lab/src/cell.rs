@@ -1,11 +1,10 @@
 //! One cell of the experiment matrix: a single deterministic simulation
 //! of (topology × workload × adversary × host stack) under one seed.
 //!
-//! This is the engine the legacy `nn-apps` scenarios are thin presets
-//! over: `Scenario::Baseline` is `(chain, voip, none, plain)`,
-//! `DpiThrottledPlain` is `(chain, voip, content-dpi, plain)`, and
-//! `DpiThrottledNeutralized` swaps the stack — same seed, byte-identical
-//! report to the pre-refactor harness.
+//! The paper's A/B/C comparison is three such cells of the `paper`
+//! matrix: the baseline is `(chain, voip, none, plain)`, the throttled
+//! run `(chain, voip, content-dpi, plain)`, and the neutralized run
+//! swaps the stack.
 
 use crate::adversary::AdversarySpec;
 use crate::events::EventTimelineSpec;
@@ -75,8 +74,7 @@ pub struct CellSpec {
     pub seed: u64,
 }
 
-/// Tuning shared by every cell of a matrix (the non-axis knobs of the
-/// legacy `ScenarioConfig`).
+/// Tuning shared by every cell of a matrix: the knobs that are not axes.
 #[derive(Debug, Clone)]
 pub struct CellTuning {
     /// Length of the send schedule.

@@ -51,8 +51,8 @@
 //! * [`finalize`] — the post-merge baseline-relative metrics pass.
 //!
 //! The `nn-lab` binary runs a named matrix (optionally sharded across
-//! worker processes) and writes `BENCH_matrix.json`; the legacy
-//! `nn-apps` scenarios are thin presets over [`cell::run_cell`].
+//! worker processes) and writes `BENCH_matrix.json`; `--matrix paper` is
+//! the paper's A/B/C comparison.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

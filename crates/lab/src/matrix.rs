@@ -561,6 +561,23 @@ pub fn named_matrix(name: &str) -> Option<ExperimentSpec> {
             probes: false,
             tuning: CellTuning::fast(),
         },
+        // The paper's §3.2 A/B/C comparison at paper scale (2 s, RSA-512
+        // keys): a clean baseline, plain VoIP under content DPI, and the
+        // same flow through the neutralizer. The `vs-base` column is the
+        // A/B/C table; the neutralized/none cells are the control — 8
+        // cells.
+        "paper" => ExperimentSpec {
+            name: "paper".to_string(),
+            topologies: vec![TopologySpec::chain()],
+            links: vec![LinkProfileSpec::Clean],
+            workloads: vec![WorkloadSpec::voip_default()],
+            adversaries: vec![AdversarySpec::None, AdversarySpec::content_dpi_default()],
+            stacks: vec![StackKind::Plain, StackKind::Neutralized],
+            events: vec![EventTimelineSpec::Static],
+            seeds: vec![1, 2],
+            probes: false,
+            tuning: CellTuning::default(),
+        },
         // The headline matrix: every combination the paper's claim needs,
         // 48 cells.
         "default" => ExperimentSpec {
@@ -707,8 +724,9 @@ pub fn named_matrix(name: &str) -> Option<ExperimentSpec> {
 }
 
 /// Names [`named_matrix`] accepts, in documentation order.
-pub const NAMED_MATRICES: [&str; 7] = [
+pub const NAMED_MATRICES: [&str; 8] = [
     "smoke",
+    "paper",
     "default",
     "congested",
     "full",
@@ -876,6 +894,38 @@ mod tests {
         // The full matrix carries the whole link axis.
         let full = named_matrix("full").unwrap();
         assert_eq!(full.cells().len(), 4 * 3 * 4 * 6 * 2 * 2);
+    }
+
+    /// `paper` is the paper's A/B/C comparison: the legacy chain on a
+    /// clean static network, VoIP with and without content DPI on both
+    /// stacks, at paper scale (2 s schedule, 512-bit keys).
+    #[test]
+    fn paper_matrix_is_the_abc_comparison_at_paper_scale() {
+        let spec = named_matrix("paper").unwrap();
+        let cells = spec.cells();
+        assert_eq!(cells.len(), 8);
+        for c in &cells {
+            assert_eq!(c.cell.topology, TopologySpec::chain());
+            assert_eq!(c.cell.link, LinkProfileSpec::Clean);
+            assert_eq!(c.cell.workload, WorkloadSpec::voip_default());
+            assert_eq!(c.cell.events, EventTimelineSpec::Static);
+            assert!(!c.cell.probes);
+        }
+        let has = |adversary: &AdversarySpec, stack| {
+            cells
+                .iter()
+                .any(|c| &c.cell.adversary == adversary && c.cell.stack == stack)
+        };
+        assert!(has(&AdversarySpec::None, StackKind::Plain));
+        assert!(has(&AdversarySpec::content_dpi_default(), StackKind::Plain));
+        assert!(has(
+            &AdversarySpec::content_dpi_default(),
+            StackKind::Neutralized
+        ));
+        let paper_scale = CellTuning::default();
+        assert_eq!(spec.tuning.duration, paper_scale.duration);
+        assert_eq!(spec.tuning.onetime_rsa_bits, 512);
+        assert_eq!(spec.tuning.e2e_rsa_bits, paper_scale.e2e_rsa_bits);
     }
 
     /// Link profiles group baselines like topologies do: a lossy cell is

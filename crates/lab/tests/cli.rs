@@ -84,6 +84,20 @@ fn bad_arguments_exit_nonzero_with_usage() {
     );
 }
 
+/// Hostile shard input: 200 000 unclosed `[` must be refused by the
+/// bounded-depth parser with exit 1 and a diagnostic, not abort the
+/// process with a stack overflow.
+#[test]
+fn merge_of_deeply_nested_json_exits_1() {
+    let dir = tmpdir("nested");
+    std::fs::write(dir.join("deep.json"), "[".repeat(200_000)).expect("write input");
+    let out = nn_lab(&["--merge", "deep.json"], &dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("nesting deeper than"), "stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn read(dir: &Path, name: &str) -> String {
     std::fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("reading {name}: {e}"))
 }

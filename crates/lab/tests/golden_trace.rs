@@ -19,8 +19,8 @@
 use nn_lab::matrix::{named_matrix, run_matrix_with_threads, ExperimentSpec};
 use nn_lab::{
     finalize_report, merge_shards, run_shard, verify_merged_against_spec, AdversarySpec,
-    CellTuning, EventTimelineSpec, ExecutionPlan, LinkProfileSpec, MatrixReport, ShardReport,
-    StackKind, TopologySpec, WorkloadSpec,
+    CellTuning, EventTimelineSpec, ExecutionPlan, LinkProfileSpec, MatrixCell, MatrixReport,
+    ShardReport, StackKind, TopologySpec, WorkloadSpec,
 };
 use std::path::PathBuf;
 
@@ -154,6 +154,52 @@ fn flaky_matrix_json_matches_golden_at_any_thread_count() {
     );
     assert_golden("flaky_matrix.json", &one.to_json());
     assert_golden("flaky_matrix.csv", &one.to_csv());
+
+    // The §3.5 failover story: in every neutralized partition-heal cell
+    // the source notices the silent primary, steers to the fallback
+    // neutralizer and keeps ≥ 80% of the undisturbed plain goodput, with
+    // content DPI still blind on the fallback path.
+    let mut checked = 0;
+    for c in one
+        .cells
+        .iter()
+        .filter(|c| c.stack == "neutralized" && c.events == "partition-heal")
+    {
+        assert!(counter(c, "source.failovers") >= 1, "cell {}", c.index);
+        assert!(
+            counter(c, "neutralizer-b.data_forwarded") > 0,
+            "cell {}: traffic must flow through the fallback provider",
+            c.index
+        );
+        assert_eq!(c.report.policy_drops, 0, "cell {}", c.index);
+        let calm = one
+            .cells
+            .iter()
+            .find(|b| {
+                b.seed_axis == c.seed_axis
+                    && b.adversary == "none"
+                    && b.stack == "plain"
+                    && b.events == "static"
+            })
+            .expect("calm plain baseline exists");
+        assert!(
+            c.report.goodput_bps() >= 0.8 * calm.report.goodput_bps(),
+            "cell {}: failover must restore goodput: {} vs {}",
+            c.index,
+            c.report.goodput_bps(),
+            calm.report.goodput_bps()
+        );
+        checked += 1;
+    }
+    assert_eq!(checked, 4, "2 adversaries × 2 seeds");
+}
+
+fn counter(cell: &MatrixCell, name: &str) -> u64 {
+    cell.report
+        .counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |&(_, v)| v)
 }
 
 /// The sharded pipeline over the event-driven matrix: three strided
@@ -220,6 +266,19 @@ fn detection_matrix_matches_golden_and_tells_the_story() {
             .any(|v| !v.detected && v.truth == "evades"),
         "tiered priority must evade naive differential probing"
     );
+    // The evidence behind the content-DPI verdict: equal-sized probe
+    // twins, the plain one throttled, and a TTL sweep that names the path.
+    for c in one.cells.iter().filter(|c| c.adversary == "content-dpi") {
+        let probe = c.report.probe.as_ref().expect("probed cell");
+        assert!(probe.plain_tx >= 10 && probe.plain_tx == probe.neut_tx);
+        assert!(
+            probe.plain_delivery() < 0.65 * probe.neut_delivery(),
+            "the DPI throttle must show in the differential pair: plain {} vs neut {}",
+            probe.plain_delivery(),
+            probe.neut_delivery()
+        );
+        assert!(!probe.hops.is_empty(), "the TTL sweep names the path");
+    }
     let d = one.detection_summary().expect("probed matrix is scored");
     assert!(
         d.precision >= 0.9 && d.recall >= 0.9,
@@ -266,29 +325,50 @@ fn metro_matrix_json_matches_golden_at_any_thread_count() {
 
     // The population story: content DPI collapses the marked VoIP
     // cohort while the unmarked neutral cohort rides through unharmed.
-    let cohort = |adversary: &str, flow: &str| -> &nn_lab::CellFlow {
+    let clean_cell = |adversary: &str, stack: &str| -> &MatrixCell {
         one.cells
             .iter()
-            .find(|c| c.adversary == adversary && c.stack == "plain" && c.link == "clean")
+            .find(|c| c.adversary == adversary && c.stack == stack && c.link == "clean")
             .expect("cell exists")
+    };
+    let goodput = |adversary: &str, stack: &str, flow: &str| -> f64 {
+        clean_cell(adversary, stack)
             .report
             .flows
             .iter()
             .find(|f| f.flow == flow)
-            .expect("cohort row exists")
+            .expect("flow row exists")
+            .goodput_bps
     };
-    let voip_base = cohort("none", "pop0-voip").goodput_bps;
-    let voip_dpi = cohort("content-dpi", "pop0-voip").goodput_bps;
+    let cohort = |adversary: &str, flow: &str| goodput(adversary, "plain", flow);
+    let voip_base = cohort("none", "pop0-voip");
+    let voip_dpi = cohort("content-dpi", "pop0-voip");
     assert!(
         voip_dpi < 0.5 * voip_base,
         "DPI must collapse the marked cohort: {voip_dpi} vs {voip_base}"
     );
-    let neutral_base = cohort("none", "pop1-neutral").goodput_bps;
-    let neutral_dpi = cohort("content-dpi", "pop1-neutral").goodput_bps;
+    let neutral_base = cohort("none", "pop1-neutral");
+    let neutral_dpi = cohort("content-dpi", "pop1-neutral");
     assert!(
         neutral_dpi > 0.9 * neutral_base,
         "the unmarked cohort must ride through DPI: {neutral_dpi} vs {neutral_base}"
     );
+
+    // And the §3.2 answer holds at metro scale: the same DPI that
+    // crushes the plain workload flow leaves the neutralized one intact.
+    let workload_base = goodput("none", "plain", "voip");
+    let workload_dpi = goodput("content-dpi", "plain", "voip");
+    let workload_neut = goodput("content-dpi", "neutralized", "voip");
+    assert!(
+        workload_dpi < 0.5 * workload_base,
+        "DPI must bite the plain workload: {workload_dpi} vs {workload_base}"
+    );
+    assert!(
+        workload_neut > 0.9 * workload_base,
+        "the neutralized workload must recover: {workload_neut} vs {workload_base}"
+    );
+    // The population plane surfaces in the cell counters.
+    assert!(counter(clean_cell("content-dpi", "plain"), "population.endpoints") >= 1_000);
 }
 
 /// The sharded pipeline over the population matrix: three strided

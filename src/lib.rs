@@ -16,14 +16,12 @@
 //!   QoS addressing and multihoming.
 //! * [`lab`] ([`nn_lab`]) — the experiment-matrix engine: host stacks,
 //!   topology generators, workload and adversary libraries, and the
-//!   parallel matrix runner (see the `nn-lab` binary).
-//! * [`apps`] ([`nn_apps`]) — the paper's three discrimination
-//!   scenarios as presets over the lab (see the `nn-scenarios` binary).
+//!   parallel matrix runner (see the `nn-lab` binary), whose `paper`
+//!   matrix is the paper's A/B/C discrimination comparison.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use nn_apps as apps;
 pub use nn_core as core;
 pub use nn_crypto as crypto;
 pub use nn_dns as dns;
