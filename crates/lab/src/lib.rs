@@ -69,6 +69,8 @@ pub mod matrix;
 pub mod plan;
 pub mod population;
 pub mod probe;
+#[cfg(test)]
+mod scenario;
 pub mod shard;
 pub mod topology;
 pub mod workload;
