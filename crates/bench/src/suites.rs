@@ -23,7 +23,7 @@ use std::time::Instant;
 /// Name, one-line description and entry point of every suite — the
 /// single source of truth `nn-bench --list` prints. Keep in sync
 /// with the `[[bench]]` shell targets in `Cargo.toml`.
-pub const SUITES: [(&str, &str, fn()); 12] = [
+pub const SUITES: [(&str, &str, fn()); 13] = [
     (
         "raw_crypto",
         "AES block, CMAC, CTR keystream, Ks derivation",
@@ -83,6 +83,11 @@ pub const SUITES: [(&str, &str, fn()); 12] = [
         "population",
         "flyweight-cohort per-endpoint cost, packet vs fluid",
         population,
+    ),
+    (
+        "pipeline",
+        "nn-lab report layers at report size: wire, merge, finalize, render, re-parse",
+        pipeline,
     ),
 ];
 
@@ -740,4 +745,94 @@ pub fn population() {
         iters: reps,
         ns_per_iter: elapsed.as_nanos() as f64 / reps as f64,
     });
+}
+
+/// The report layers of one `nn-lab` run, timed at report size: the
+/// shard wire read, the merge, the finalize pass, JSON and CSV
+/// rendering, and the certifying re-parse. Cells run once at setup: the
+/// 128-cell slice of `full` on its clean link with the paper's
+/// adversaries (none, content DPI, port blocking, address dropping) and
+/// one seed, split over two shards. The parse is timed on that report
+/// (~106 KB) and on a ~1 MB document built by repeating its cells; each
+/// also reports ns per byte, which stays flat while the reader is
+/// linear.
+pub fn pipeline() {
+    header("pipeline");
+    use nn_lab::json::Json;
+    use nn_lab::{
+        finalize_report, merge_shards, named_matrix, run_shard, AdversarySpec, CellAssignment,
+        LinkProfileSpec, ShardReport,
+    };
+
+    let mut spec = named_matrix("full").expect("the full matrix is named");
+    spec.name = "pipeline".to_string();
+    spec.links = vec![LinkProfileSpec::Clean];
+    spec.adversaries = vec![
+        AdversarySpec::None,
+        AdversarySpec::content_dpi_default(),
+        AdversarySpec::PortBlock,
+        AdversarySpec::address_drop_default(),
+    ];
+    spec.seeds = vec![1];
+    assert_eq!(spec.cell_count(), 128);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let shards: Vec<ShardReport> = (0..2)
+        .map(|i| {
+            let assignment = CellAssignment::new(i, 2).expect("valid assignment");
+            run_shard(&spec, &assignment, threads)
+        })
+        .collect();
+    let wires: Vec<String> = shards.iter().map(ShardReport::to_json).collect();
+    let merged = merge_shards(shards.clone()).expect("a complete shard set merges");
+    let report = finalize_report(merged.clone(), &spec);
+    let json = report.to_json();
+
+    bench("shard_from_json_2x64cells", iters(50), || {
+        for wire in &wires {
+            black_box(ShardReport::from_json(black_box(wire)).expect("wire parses"));
+        }
+    });
+    // Both layers consume their input, so each iteration clones it.
+    bench("merge_shards_2x64cells", iters(200), || {
+        black_box(merge_shards(black_box(shards.clone())).expect("merges"));
+    });
+    bench("finalize_report_128cells", iters(200), || {
+        black_box(finalize_report(black_box(merged.clone()), &spec));
+    });
+    bench("matrix_to_json_128cells", iters(50), || {
+        black_box(black_box(&report).to_json());
+    });
+    bench("matrix_to_csv_128cells", iters(50), || {
+        black_box(black_box(&report).to_csv());
+    });
+
+    // The 1 MB document: the report's cells, repeated.
+    let cells = Json::parse(&json).expect("the report is JSON");
+    let cells = cells.get("cells").and_then(Json::as_arr).expect("cells");
+    let repeats = (1 << 20) / json.len() + 1;
+    let big = Json::obj(vec![(
+        "cells",
+        Json::Arr(
+            cells
+                .iter()
+                .cycle()
+                .take(cells.len() * repeats)
+                .cloned()
+                .collect(),
+        ),
+    )])
+    .render();
+    for (name, text, reps) in [
+        ("json_parse_report_128cells", &json, 50),
+        ("json_parse_1mb", &big, 10),
+    ] {
+        let r = bench(name, iters(reps), || {
+            black_box(Json::parse(black_box(text)).expect("parses"));
+        });
+        report_result(&BenchResult {
+            name: format!("{name}_ns_per_byte"),
+            iters: r.iters,
+            ns_per_iter: r.ns_per_iter / text.len() as f64,
+        });
+    }
 }

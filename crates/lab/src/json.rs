@@ -1,8 +1,12 @@
 //! Minimal hand-rolled JSON — the workspace builds offline, so report
 //! serialization cannot lean on crates.io. The writer emits canonical,
 //! deterministic text (object keys in insertion order, shortest-roundtrip
-//! float formatting); the parser accepts standard JSON and exists so the
-//! binary and CI can validate what was written.
+//! float formatting). The parser accepts standard JSON. It certifies every
+//! report `nn-lab` writes by re-parsing it, and it is also the reader of
+//! the shard wire (worker stdout) and of `nn-lab --merge` files, so it
+//! treats its input as hostile: it runs in time linear in the input,
+//! bounds nesting depth, and answers malformed text with an `Err`, never
+//! a panic.
 
 use std::fmt::Write as _;
 
@@ -242,23 +246,42 @@ impl Parser<'_> {
 
     /// Reads the four hex digits of a `\u` escape. Entered with `pos` on
     /// the `u`; leaves `pos` on the last hex digit (the caller's shared
-    /// `pos += 1` then steps past it).
+    /// `pos += 1` then steps past it). Exactly four ASCII hex digits: no
+    /// sign, no whitespace.
     fn hex_escape(&mut self) -> Result<u32, String> {
+        let at = self.pos;
         let hex = self
             .bytes
-            .get(self.pos + 1..self.pos + 5)
-            .ok_or("truncated \\u escape")?;
-        let code =
-            u32::from_str_radix(core::str::from_utf8(hex).map_err(|_| "bad \\u escape")?, 16)
-                .map_err(|_| "bad \\u escape")?;
+            .get(at + 1..at + 5)
+            .ok_or_else(|| format!("truncated \\u escape at byte {at}"))?;
+        let mut code = 0;
+        for &b in hex {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+            code = code << 4 | digit;
+        }
         self.pos += 4;
         Ok(code)
     }
 
+    /// Reads a string. Each unescaped run up to the next `"`, `\` or
+    /// control byte is copied in one step, so every byte is scanned and
+    /// UTF-8-checked once and parsing stays linear in the input.
     fn string(&mut self) -> Result<String, String> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            out.push_str(
+                core::str::from_utf8(&self.bytes[start..self.pos])
+                    .map_err(|e| format!("invalid UTF-8 at byte {}", start + e.valid_up_to()))?,
+            );
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
@@ -306,14 +329,13 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = core::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                Some(b) => {
+                    // JSON forbids raw control bytes inside strings; the
+                    // writer always escapes them.
+                    return Err(format!(
+                        "raw control byte {b:#04x} in string at byte {}",
+                        self.pos
+                    ));
                 }
             }
         }
@@ -464,6 +486,39 @@ mod tests {
             v.get("a").unwrap().as_arr().unwrap()[2].as_str(),
             Some("xA")
         );
+    }
+
+    #[test]
+    fn unicode_escapes_need_exactly_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+        assert_eq!(Json::parse(r#""\u00e9""#).unwrap().as_str(), Some("é"));
+        assert_eq!(Json::parse(r#""\u00E9""#).unwrap().as_str(), Some("é"));
+        // A sign or a space is not a hex digit, even where an integer
+        // parser would accept it.
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004""#] {
+            let err = Json::parse(bad).unwrap_err();
+            assert!(err.contains("\\u escape at byte 2"), "{bad}: {err}");
+        }
+        // The low half of a surrogate pair is held to the same rule.
+        assert!(Json::parse(r#""\ud83d\u+e00""#).is_err());
+    }
+
+    #[test]
+    fn raw_control_bytes_in_strings_are_rejected() {
+        for b in (0u8..0x20).map(char::from) {
+            let text = format!("[\"ok\",\"a{b}z\"]");
+            let err = Json::parse(&text).unwrap_err();
+            assert_eq!(
+                err,
+                format!("raw control byte {:#04x} in string at byte 8", b as u32),
+                "{text:?}"
+            );
+        }
+        // Escaped, the same characters round-trip, and 0x7f (not a
+        // control byte in JSON's sense) passes through raw.
+        let all: String = (0u8..0x20).map(char::from).chain(['\u{7f}']).collect();
+        let v = Json::Str(all);
+        assert_eq!(Json::parse(&v.render()).unwrap(), v);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use crate::json::Json;
 use crate::matrix::MatrixCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One worker's raw results for its assignment.
 #[derive(Debug, Clone)]
@@ -220,22 +221,24 @@ pub fn merge_shards(shards: Vec<ShardReport>) -> Result<MergedMatrix, MergeError
             });
         }
     }
-    let mut shard_seen = vec![false; shard_count];
+    // Bookkeeping is sized by what actually arrived, never by the
+    // declared counts: a hostile header claiming 10^15 shards or cells
+    // is a missing-shard or missing-cell error, not an allocation abort.
+    let mut shard_seen = BTreeSet::new();
     for s in &shards {
-        if shard_seen[s.shard] {
+        if !shard_seen.insert(s.shard) {
             return Err(MergeError::DuplicateShard(s.shard));
         }
-        shard_seen[s.shard] = true;
     }
-    if let Some(missing) = shard_seen.iter().position(|&seen| !seen) {
+    if let Some(missing) = first_gap(shard_seen.iter().copied(), shard_count) {
         return Err(MergeError::MissingShard(missing));
     }
 
-    let mut slots: Vec<Option<MatrixCell>> = (0..total).map(|_| None).collect();
+    let mut slots: BTreeMap<usize, MatrixCell> = BTreeMap::new();
     let (mut pool_allocs, mut pool_recycled) = (0u64, 0u64);
     for s in shards {
-        pool_allocs += s.pool_allocs;
-        pool_recycled += s.pool_recycled;
+        pool_allocs = pool_allocs.saturating_add(s.pool_allocs);
+        pool_recycled = pool_recycled.saturating_add(s.pool_recycled);
         for cell in s.cells {
             if cell.index >= total {
                 return Err(MergeError::CellOutOfRange {
@@ -249,24 +252,32 @@ pub fn merge_shards(shards: Vec<ShardReport>) -> Result<MergedMatrix, MergeError
                     shard: s.shard,
                 });
             }
-            let slot = &mut slots[cell.index];
-            if slot.is_some() {
-                return Err(MergeError::DuplicateCell(cell.index));
+            let index = cell.index;
+            if slots.insert(index, cell).is_some() {
+                return Err(MergeError::DuplicateCell(index));
             }
-            *slot = Some(cell);
         }
     }
-    let mut cells = Vec::with_capacity(total);
-    for (index, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(cell) => cells.push(cell),
-            None => return Err(MergeError::MissingCell(index)),
-        }
+    if let Some(missing) = first_gap(slots.keys().copied(), total) {
+        return Err(MergeError::MissingCell(missing));
     }
     Ok(MergedMatrix {
         name,
         pool_allocs,
         pool_recycled,
-        cells,
+        cells: slots.into_values().collect(),
     })
+}
+
+/// The lowest index in `0..total` missing from `present`, which must be
+/// ascending, unique and below `total`.
+fn first_gap(present: impl Iterator<Item = usize>, total: usize) -> Option<usize> {
+    let mut expected = 0;
+    for index in present {
+        if index != expected {
+            return Some(expected);
+        }
+        expected += 1;
+    }
+    (expected < total).then_some(expected)
 }

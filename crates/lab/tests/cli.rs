@@ -98,6 +98,54 @@ fn merge_of_deeply_nested_json_exits_1() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Hostile shard input: headers claiming 10^15 cells or shards are
+/// refused as incomplete sets with exit 1, not an allocation abort.
+#[test]
+fn merge_of_hostile_counts_exits_1() {
+    let dir = tmpdir("counts");
+    for (file, shards, total, expect) in [
+        ("cells.json", 1u64, 1u64 << 50, "cell 0 has no report"),
+        ("shards.json", 1 << 50, 1, "shard 1 is missing"),
+    ] {
+        let wire = format!(
+            "{{\"matrix\":\"smoke\",\"shard\":0,\"shards\":{shards},\
+             \"total_cells\":{total},\"pool\":{{\"allocs\":0,\"recycled\":0}},\
+             \"cells\":[]}}"
+        );
+        std::fs::write(dir.join(file), wire).expect("write input");
+        let out = nn_lab(&["--merge", file], &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{file}: {stderr}");
+        assert!(stderr.contains(expect), "{file}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Hostile shard input: one 4 MB string. A reader that re-scans the
+/// rest of the document per character needs minutes for this; the
+/// linear one refuses the file (it is no shard report) in milliseconds.
+/// The bound is two orders of magnitude above the linear cost, so it
+/// only trips on a quadratic regression.
+#[test]
+fn merge_of_a_4mb_string_exits_1_quickly() {
+    let dir = tmpdir("bigstring");
+    let unit = "é😀ab";
+    let big = format!("{{\"matrix\":\"{}\"}}", unit.repeat((4 << 20) / unit.len()));
+    assert!(big.len() > 4 << 20);
+    std::fs::write(dir.join("big.json"), big).expect("write input");
+    let start = std::time::Instant::now();
+    let out = nn_lab(&["--merge", "big.json"], &dir);
+    let elapsed = start.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("big.json is not a shard report"),
+        "stderr: {stderr}"
+    );
+    assert!(elapsed.as_secs_f64() < 5.0, "took {elapsed:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn read(dir: &Path, name: &str) -> String {
     std::fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("reading {name}: {e}"))
 }

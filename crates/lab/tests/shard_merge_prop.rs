@@ -216,6 +216,28 @@ fn merge_rejects_out_of_range_cells_and_shards() {
 }
 
 #[test]
+fn merge_refuses_hostile_counts_without_allocating_for_them() {
+    // A header may claim any count; merge answers from what arrived.
+    let mut bad = fake_shard(0, 1, 2);
+    bad.total_cells = 1 << 50;
+    assert_eq!(
+        merge_shards(vec![bad]).unwrap_err(),
+        MergeError::MissingCell(2)
+    );
+    let mut bad = fake_shard(0, 1, 2);
+    bad.shards = 1 << 50;
+    assert_eq!(
+        merge_shards(vec![bad]).unwrap_err(),
+        MergeError::MissingShard(1)
+    );
+    // Pool counters from hostile files saturate instead of overflowing.
+    let mut a = fake_shard(0, 2, 4);
+    a.pool_allocs = u64::MAX;
+    let merged = merge_shards(vec![a, fake_shard(1, 2, 4)]).expect("merges");
+    assert_eq!(merged.pool_allocs, u64::MAX);
+}
+
+#[test]
 fn shard_wire_format_rejects_relative_metrics() {
     let wire = fake_shard(0, 1, 2).to_json();
     ShardReport::from_json(&wire).expect("raw cells parse");

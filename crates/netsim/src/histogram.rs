@@ -180,7 +180,8 @@ impl Histogram {
     }
 
     /// Decodes an [`Histogram::encode`] byte form; `Err` on malformed
-    /// input (bad magic, truncation, out-of-range index, total mismatch).
+    /// input (bad magic, truncation, out-of-range index, counts that
+    /// overflow, total mismatch).
     pub fn decode(bytes: &[u8]) -> Result<Histogram, String> {
         if bytes.len() < 16 || &bytes[..4] != ENCODE_MAGIC {
             return Err("histogram: bad magic or truncated header".to_string());
@@ -203,11 +204,20 @@ impl Histogram {
             if idx >= BUCKET_COUNT {
                 return Err(format!("histogram: bucket index {idx} out of range"));
             }
+            // Every bucket is at most the running sum, so checking the
+            // sum keeps hostile counts from overflowing either.
+            sum = sum
+                .checked_add(count)
+                .ok_or("histogram: bucket counts overflow u64")?;
+            // `encode` never writes an empty bucket; skipping one keeps
+            // a decoded all-zero histogram equal to the empty one.
+            if count == 0 {
+                continue;
+            }
             if h.counts.is_empty() {
                 h.counts = vec![0; BUCKET_COUNT];
             }
             h.counts[idx] += count;
-            sum += count;
         }
         if sum != total {
             return Err(format!(
@@ -357,6 +367,23 @@ mod tests {
         let mut bad = good;
         bad[4] = bad[4].wrapping_add(1);
         assert!(Histogram::decode(&bad).is_err());
+        // Two saturated buckets: an error, not an overflow panic.
+        let mut bad = b"NNH1".to_vec();
+        bad.extend_from_slice(&u64::MAX.to_le_bytes());
+        bad.extend_from_slice(&2u32.to_le_bytes());
+        for idx in [3u16, 4] {
+            bad.extend_from_slice(&idx.to_le_bytes());
+            bad.extend_from_slice(&u64::MAX.to_le_bytes());
+        }
+        let err = Histogram::decode(&bad).unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
+        // An explicit empty bucket decodes to the canonical empty form.
+        let mut zero = b"NNH1".to_vec();
+        zero.extend_from_slice(&0u64.to_le_bytes());
+        zero.extend_from_slice(&1u32.to_le_bytes());
+        zero.extend_from_slice(&5u16.to_le_bytes());
+        zero.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(Histogram::decode(&zero), Ok(Histogram::new()));
     }
 
     #[test]
