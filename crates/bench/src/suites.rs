@@ -220,7 +220,7 @@ pub fn data_path() {
 /// Blasts 1000 small UDP frames through `src → r1 → r2 → sink`.
 fn sim_data_path() {
     use nn_netsim::{
-        compute_routes, Context, IfaceId, LinkConfig, Node, RouterNode, Simulator, SinkNode,
+        compute_routes, Context, IfaceId, LinkProfile, Node, RouterNode, Simulator, SinkNode,
     };
     use nn_packet::{build_udp, Ipv4Cidr};
     use std::time::Duration;
@@ -260,7 +260,7 @@ fn sim_data_path() {
         let r1 = sim.add_node("r1", Box::new(RouterNode::new("r1")));
         let r2 = sim.add_node("r2", Box::new(RouterNode::new("r2")));
         let sink = sim.add_node("sink", Box::new(SinkNode::new()));
-        let cfg = LinkConfig::new(1_000_000_000, Duration::from_micros(10));
+        let cfg = LinkProfile::new(1_000_000_000, Duration::from_micros(10));
         sim.connect_sym(src, r1, cfg.clone());
         sim.connect_sym(r1, r2, cfg.clone());
         sim.connect_sym(r2, sink, cfg);
@@ -518,15 +518,12 @@ pub fn matrix() {
 }
 
 /// The link-pipeline hot path: one simulated link draining 1000
-/// back-to-back frames, timed with 0, 1 and 3 impairment stages plus
-/// the legacy `FaultConfig` lowering — so the redesign's per-frame
-/// overhead against the old flat fault injection stays visible.
+/// back-to-back frames, timed with 0, 1 and 3 impairment stages.
 /// Divide the reported ns/iter by 1000 for the per-frame cost.
 pub fn link_pipeline() {
     header("link_pipeline");
     use nn_netsim::{
-        Context, FaultConfig, IfaceId, LinkProfile, LossModel, Node, SimTime, Simulator, SinkNode,
-        StageSpec,
+        Context, IfaceId, LinkProfile, LossModel, Node, SimTime, Simulator, SinkNode, StageSpec,
     };
     use std::time::Duration;
 
@@ -584,13 +581,6 @@ pub fn link_pipeline() {
                     max_extra: Duration::from_micros(50),
                 }),
         ),
-        (
-            "pipeline_legacy_fault_1kframes",
-            base().with_fault(FaultConfig {
-                drop_prob: 0.02,
-                corrupt_prob: 0.02,
-            }),
-        ),
     ];
     for (name, profile) in &cases {
         bench(name, iters(50), || {
@@ -608,7 +598,7 @@ pub fn link_pipeline() {
 /// bulk cohort under the full lab pipeline) must complete in seconds.
 pub fn population() {
     header("population");
-    use nn_netsim::{CohortModel, LinkConfig, PopulationNode, PopulationSinkNode, Simulator};
+    use nn_netsim::{CohortModel, LinkProfile, PopulationNode, PopulationSinkNode, Simulator};
     use std::time::Duration;
 
     let mut pool = nn_netsim::FramePool::new();
@@ -641,7 +631,7 @@ pub fn population() {
         sim.connect_sym(
             pop,
             sink,
-            LinkConfig::new(10_000_000_000, Duration::from_micros(100)),
+            LinkProfile::new(10_000_000_000, Duration::from_micros(100)),
         );
         sim.run_until(SimTime::from_millis(100));
         let modeled = sim
@@ -649,6 +639,7 @@ pub fn population() {
             .unwrap()
             .cohort("c")
             .unwrap()
+            .rx
             .rx_packets;
         pool = sim.take_pool();
         modeled

@@ -161,7 +161,7 @@ mod tests {
     use crate::name::DnsName;
     use crate::records::{rtype, NeutInfo, Record, RecordData};
     use nn_crypto::E2eRecord;
-    use nn_netsim::{LinkConfig, SimTime, Simulator, SinkNode};
+    use nn_netsim::{LinkProfile, SimTime, Simulator, SinkNode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::time::Duration;
@@ -199,7 +199,7 @@ mod tests {
         sim.connect_sym(
             client,
             server,
-            LinkConfig::new(100_000_000, Duration::from_millis(2)),
+            LinkProfile::new(100_000_000, Duration::from_millis(2)),
         );
         (sim, client, server)
     }
@@ -294,7 +294,7 @@ mod tests {
         sim.connect_sym(
             catcher,
             sid,
-            LinkConfig::new(1_000_000_000, Duration::from_micros(1)),
+            LinkProfile::new(1_000_000_000, Duration::from_micros(1)),
         );
         let frame = build_udp(
             CLIENT,

@@ -22,7 +22,7 @@ use crate::workload::WorkloadSpec;
 use nn_core::app::ScriptedApp;
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode};
 use nn_dns::{rtype, DnsCache, DnsName, Lookup, NeutInfo, Record, RecordData, ZoneStore};
-use nn_netsim::{Node, RouterNode, SimTime, Simulator};
+use nn_netsim::{Node, RouterNode, RxStats, SimTime, Simulator};
 use nn_packet::Ipv4Cidr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,6 +144,25 @@ pub struct CellFlow {
 }
 
 impl CellFlow {
+    /// One flow row from its receive accounting, the `tx_packets` its
+    /// source sent, and its p50/p95/p99 delays in milliseconds.
+    pub fn new(flow: &str, tx_packets: u64, rx: &RxStats, [p50, p95, p99]: [f64; 3]) -> CellFlow {
+        CellFlow {
+            flow: flow.to_string(),
+            tx_packets,
+            rx_packets: rx.rx_packets,
+            delivery_ratio: rx.delivery_ratio(tx_packets),
+            goodput_bps: rx.goodput_bps(),
+            mean_delay_ms: rx.mean_delay() * 1_000.0,
+            p50_delay_ms: p50,
+            p95_delay_ms: p95,
+            p99_delay_ms: p99,
+            hist_p99_delay_ms: hist_delay_ms(rx, 0.99),
+            jitter_ms: rx.jitter() * 1_000.0,
+            ce_marks: rx.ce_marks,
+        }
+    }
+
     /// The canonical JSON object for one flow — shared by the matrix
     /// and scenario reports so the schema cannot drift between them.
     pub fn to_json(&self) -> Json {
@@ -200,6 +219,16 @@ impl CellFlow {
             jitter_ms: num("jitter_ms")?,
             ce_marks: uint("ce_marks")?,
         })
+    }
+}
+
+/// Upper bound of the delay histogram's `q` quantile bucket in
+/// milliseconds (0 when nothing was delivered).
+fn hist_delay_ms(rx: &RxStats, q: f64) -> f64 {
+    if rx.delay_hist.is_empty() {
+        0.0
+    } else {
+        rx.delay_hist.quantile_upper(q) as f64 / 1e6
     }
 }
 
@@ -557,24 +586,12 @@ pub fn run_cell_with_pool(
     counters.sort();
 
     let mut flows = match sim.stats().flow(flow) {
-        Some(fs) => vec![CellFlow {
-            flow: flow.to_string(),
-            tx_packets: fs.tx_packets,
-            rx_packets: fs.rx_packets,
-            delivery_ratio: fs.delivery_ratio(),
-            goodput_bps: fs.goodput_bps(),
-            mean_delay_ms: fs.mean_delay() * 1_000.0,
-            p50_delay_ms: fs.delay_percentile(50.0) * 1_000.0,
-            p95_delay_ms: fs.delay_percentile(95.0) * 1_000.0,
-            p99_delay_ms: fs.delay_percentile(99.0) * 1_000.0,
-            hist_p99_delay_ms: if fs.delay_hist.is_empty() {
-                0.0
-            } else {
-                fs.delay_hist.quantile_upper(0.99) as f64 / 1e6
-            },
-            jitter_ms: fs.jitter() * 1_000.0,
-            ce_marks: fs.ce_marks,
-        }],
+        Some(fs) => {
+            let p = fs
+                .delay_percentiles([50.0, 95.0, 99.0])
+                .map(|s| s * 1_000.0);
+            vec![CellFlow::new(flow, fs.tx_packets, &fs.rx, p)]
+        }
         None => Vec::new(),
     };
 
@@ -589,36 +606,14 @@ pub fn run_cell_with_pool(
         let sink = sim
             .node_ref::<nn_netsim::PopulationSinkNode>(pop_sink)
             .expect("population sink");
-        let hist_ms = |agg: &nn_netsim::CohortAggregate, q: f64| {
-            if agg.delay_hist.is_empty() {
-                0.0
-            } else {
-                agg.delay_hist.quantile_upper(q) as f64 / 1e6
-            }
-        };
+        let never_received = RxStats::default();
         let mut cohort_flows: Vec<CellFlow> = pop
             .tx_stats()
             .iter()
             .map(|tx| {
-                let agg = sink.cohort(&tx.name);
-                CellFlow {
-                    flow: tx.name.clone(),
-                    tx_packets: tx.tx_packets,
-                    rx_packets: agg.map_or(0, |a| a.rx_packets),
-                    delivery_ratio: if tx.tx_packets == 0 {
-                        1.0
-                    } else {
-                        agg.map_or(0, |a| a.rx_packets) as f64 / tx.tx_packets as f64
-                    },
-                    goodput_bps: agg.map_or(0.0, |a| a.goodput_bps()),
-                    mean_delay_ms: agg.map_or(0.0, |a| a.mean_delay() * 1_000.0),
-                    p50_delay_ms: agg.map_or(0.0, |a| hist_ms(a, 0.50)),
-                    p95_delay_ms: agg.map_or(0.0, |a| hist_ms(a, 0.95)),
-                    p99_delay_ms: agg.map_or(0.0, |a| hist_ms(a, 0.99)),
-                    hist_p99_delay_ms: agg.map_or(0.0, |a| hist_ms(a, 0.99)),
-                    jitter_ms: agg.map_or(0.0, |a| a.jitter() * 1_000.0),
-                    ce_marks: agg.map_or(0, |a| a.ce_marks),
-                }
+                let rx = sink.cohort(&tx.name).map_or(&never_received, |a| &a.rx);
+                let p = [0.50, 0.95, 0.99].map(|q| hist_delay_ms(rx, q));
+                CellFlow::new(&tx.name, tx.tx_packets, rx, p)
             })
             .collect();
         cohort_flows.sort_by(|a, b| a.flow.cmp(&b.flow));

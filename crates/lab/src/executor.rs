@@ -221,17 +221,32 @@ impl ProcessExecutor {
     }
 }
 
+/// Spawned workers, killed and reaped when dropped. Dropping a bare
+/// [`Child`] does neither, so without this an early error return would
+/// leave the remaining workers computing their whole shard after the
+/// run has already failed. Reaping a worker that was already waited on
+/// is a no-op.
+struct Workers(Vec<Child>);
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 impl CellExecutor for ProcessExecutor {
     fn execute(&mut self, plan: &ExecutionPlan<'_>) -> Result<Vec<ShardReport>, String> {
         // Spawn everything first so the shards genuinely run in
         // parallel, then collect in shard order.
-        let children = plan
-            .assignments()
-            .iter()
-            .map(|a| self.spawn_worker(a))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut reports = Vec::with_capacity(children.len());
-        for (assignment, mut child) in plan.assignments().iter().zip(children) {
+        let mut workers = Workers(Vec::new());
+        for assignment in plan.assignments() {
+            workers.0.push(self.spawn_worker(&assignment)?);
+        }
+        let mut reports = Vec::with_capacity(workers.0.len());
+        for (assignment, child) in plan.assignments().iter().zip(&mut workers.0) {
             let mut stdout = String::new();
             child
                 .stdout
@@ -273,5 +288,63 @@ impl CellExecutor for ProcessExecutor {
             reports.push(report);
         }
         Ok(reports)
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use crate::matrix::named_matrix;
+    use std::os::unix::fs::PermissionsExt;
+    use std::path::Path;
+    use std::time::{Duration, Instant};
+
+    /// One failing shard must not orphan its siblings: shard 1 records
+    /// its PID and sleeps, shard 0 waits for that PID and exits 3, and
+    /// by the time `execute` returns the error shard 1 is killed and
+    /// reaped (no `/proc` entry, not even a zombie).
+    #[test]
+    fn failed_shard_kills_and_reaps_the_other_workers() {
+        let dir = std::env::temp_dir().join(format!("nn-lab-orphan-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let pid_file = dir.join("pid");
+        let script = dir.join("worker.sh");
+        // Arguments: --worker --shard I/N --matrix NAME.
+        std::fs::write(
+            &script,
+            format!(
+                "#!/bin/sh\n\
+                 case \"$3\" in\n\
+                 1/*) echo $$ > {pid}.tmp && mv {pid}.tmp {pid}; exec sleep 30 ;;\n\
+                 *) while [ ! -f {pid} ]; do sleep 0.01; done; exit 3 ;;\n\
+                 esac\n",
+                pid = pid_file.display()
+            ),
+        )
+        .expect("write worker script");
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
+            .expect("chmod worker script");
+
+        let spec = named_matrix("paper").expect("paper matrix");
+        let plan = ExecutionPlan::new(&spec, 2);
+        let started = Instant::now();
+        let err = ProcessExecutor::new(script, "paper")
+            .execute(&plan)
+            .expect_err("shard 0 exits 3");
+        assert!(err.contains("worker 0 exited"), "{err}");
+
+        let pid = std::fs::read_to_string(&pid_file).expect("shard 1 wrote its pid");
+        let proc_entry = Path::new("/proc").join(pid.trim());
+        let orphaned = proc_entry.exists();
+        if orphaned {
+            let _ = Command::new("kill").arg("-9").arg(pid.trim()).status();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            !orphaned,
+            "shard 1 (pid {}) outlived the failed run",
+            pid.trim()
+        );
+        assert!(started.elapsed() < Duration::from_secs(20));
     }
 }

@@ -22,6 +22,7 @@ use nn_core::wire::{InnerPayload, TransportMsg};
 use nn_crypto::e2e;
 use nn_crypto::sealed::AddrSealer;
 use nn_crypto::{Cmac, E2eSession, RsaKeypair};
+use nn_netsim::stats::is_ce;
 use nn_netsim::{Context, FrameBuf, IfaceId, Node, SimTime};
 use nn_packet::{
     build_shim_into, build_udp_into, ecn, parse_shim, parse_udp, Ipv4Addr, Ipv4Packet, ShimRepr,
@@ -94,17 +95,6 @@ fn pooled_shim(
     Some(pkt)
 }
 
-/// Records a CE-marked delivery against `flow` (receiver-side ECN
-/// accounting; the transports here have no congestion response, so the
-/// mark is measured rather than reacted to).
-fn note_ce(ctx: &mut Context, frame: &[u8], flow: &str) {
-    if let Ok(ip) = Ipv4Packet::new_checked(frame) {
-        if ip.ecn() == ecn::CE {
-            ctx.stats.flow_ce(flow);
-        }
-    }
-}
-
 /// Derives the record-channel key from the envelope session key.
 ///
 /// Domain separation: envelopes are sealed under the raw session key
@@ -169,13 +159,11 @@ impl AppDriver {
         frames
     }
 
-    /// Records a received echo reply against the flow's RTT series and
-    /// returns the app's reaction commands as encoded frames ready for
-    /// transport (`None` for malformed replies).
+    /// Hands a received echo reply to the app and returns its reaction
+    /// commands as encoded frames ready for transport (`None` for
+    /// malformed replies).
     fn on_reply(&mut self, ctx: &mut Context, frame: &[u8]) -> Option<Vec<Vec<u8>>> {
-        let (flow, sent, data) = decode_app_frame(frame)?;
-        ctx.stats
-            .record(&format!("{flow}.rtt"), (ctx.now - sent).as_secs_f64());
+        let (_, _, data) = decode_app_frame(frame)?;
         let cmds = self.app.on_receive(ctx.now, "peer", data);
         let mut frames = Vec::with_capacity(cmds.len());
         for cmd in cmds {
@@ -292,8 +280,8 @@ impl Node for PlainServerNode {
                 return;
             };
             self.rx_frames += 1;
-            ctx.stats.flow_rx(flow, data.len(), sent, ctx.now);
-            note_ce(ctx, &frame, flow);
+            ctx.stats
+                .flow_rx(flow, data.len(), sent, ctx.now, is_ce(&frame));
             if self.echo {
                 reply = pooled_udp(
                     ctx,
@@ -802,8 +790,8 @@ impl NeutralizedServerNode {
             return;
         };
         self.rx_frames += 1;
-        ctx.stats.flow_rx(flow, data.len(), sent, ctx.now);
-        note_ce(ctx, frame, flow);
+        ctx.stats
+            .flow_rx(flow, data.len(), sent, ctx.now, is_ce(frame));
         if self.echo {
             self.echo_reply(ctx, initiator, nonce, &inner.app);
         }
@@ -814,7 +802,7 @@ impl NeutralizedServerNode {
 mod tests {
     use super::*;
     use nn_core::app::NullApp;
-    use nn_netsim::{LinkConfig, Simulator, SinkNode};
+    use nn_netsim::{LinkProfile, Simulator, SinkNode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::time::Duration;
@@ -847,7 +835,7 @@ mod tests {
         sim.connect_sym(
             src,
             sink,
-            LinkConfig::new(10_000_000, Duration::from_millis(2)),
+            LinkProfile::new(10_000_000, Duration::from_millis(2)),
         );
         sim.run_until(nn_netsim::SimTime::from_secs(1));
         let rx = sim.node_ref::<SinkNode>(sink).unwrap().rx_frames;

@@ -591,7 +591,7 @@ impl Node for ProbeResponderNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nn_netsim::{compute_routes, LinkConfig, RouterNode, Simulator};
+    use nn_netsim::{compute_routes, LinkProfile, RouterNode, Simulator};
     use nn_packet::Ipv4Cidr;
 
     const PROBER: Ipv4Addr = Ipv4Addr::new(203, 0, 114, 10);
@@ -607,7 +607,7 @@ mod tests {
         let r1 = sim.add_node("r1", Box::new(RouterNode::new("r1")));
         let r2 = sim.add_node("r2", Box::new(RouterNode::new("r2")));
         let responder = sim.add_node("responder", Box::new(ProbeResponderNode::new(SINK)));
-        let cfg = LinkConfig::new(10_000_000, Duration::from_millis(2));
+        let cfg = LinkProfile::new(10_000_000, Duration::from_millis(2));
         sim.connect_sym(prober, r1, cfg.clone());
         sim.connect_sym(r1, r2, cfg.clone());
         sim.connect_sym(r2, responder, cfg);

@@ -31,7 +31,7 @@ use crate::hosts::PlainSourceNode;
 use crate::link::LinkProfileSpec;
 use crate::population::PopulationSpec;
 use nn_core::neutralizer::NeutralizerNode;
-use nn_netsim::{compute_routes, IfaceId, LinkConfig, Node, NodeId, RouterNode, Simulator};
+use nn_netsim::{compute_routes, IfaceId, LinkProfile, Node, NodeId, RouterNode, Simulator};
 use nn_packet::{Ipv4Addr, Ipv4Cidr};
 use std::time::Duration;
 
@@ -68,19 +68,19 @@ pub const POP_SINK_ADDR: Ipv4Addr = Ipv4Addr::new(10, 240, 0, 99);
 /// Bandwidth of every non-bottleneck link (10 Mbit/s, the legacy value).
 const LINK_BPS: u64 = 10_000_000;
 
-fn edge_link() -> LinkConfig {
-    LinkConfig::new(LINK_BPS, Duration::from_millis(2))
+fn edge_link() -> LinkProfile {
+    LinkProfile::new(LINK_BPS, Duration::from_millis(2))
 }
 
 /// The population's fat access links (10 Gbit/s): a metro cell's
 /// million modeled endpoints must contend at the hub's uplink — the
 /// discriminator bottleneck — not on their own aggregation edge.
-fn pop_edge_link() -> LinkConfig {
-    LinkConfig::new(10_000_000_000, Duration::from_millis(2))
+fn pop_edge_link() -> LinkProfile {
+    LinkProfile::new(10_000_000_000, Duration::from_millis(2))
 }
 
-fn backbone_link() -> LinkConfig {
-    LinkConfig::new(LINK_BPS, Duration::from_millis(10))
+fn backbone_link() -> LinkProfile {
+    LinkProfile::new(LINK_BPS, Duration::from_millis(10))
 }
 
 /// One point on the topology axis.
@@ -410,7 +410,7 @@ impl TopologySpec {
                 let leaf_r = sim.add_node("leaf-r", Box::new(nn_netsim::SinkNode::new()));
 
                 sim.connect_sym(src, isp, edge_link());
-                let native = LinkConfig::new(bottleneck_bps, Duration::from_millis(10));
+                let native = LinkProfile::new(bottleneck_bps, Duration::from_millis(10));
                 let (bneck_iface, _) =
                     sim.connect(isp, core, link.bottleneck_profile(native.clone()), native);
                 sim.connect_sym(core, neut, edge_link());
@@ -610,7 +610,7 @@ impl TopologySpec {
                     sim.connect_sym(
                         routers[2 * i],
                         routers[2 * i + 1],
-                        LinkConfig::new(LINK_BPS, Duration::from_millis(1)),
+                        LinkProfile::new(LINK_BPS, Duration::from_millis(1)),
                     );
                     // Inter-AS: egress to next ingress, slow.
                     if i + 1 < as_count {
@@ -1063,7 +1063,7 @@ pub(crate) mod tests {
         assert_eq!(sink.parse_errors, 0);
         for cohort in sink.cohorts() {
             assert!(
-                cohort.rx_packets > 0,
+                cohort.rx.rx_packets > 0,
                 "cohort {} must terminate frames",
                 cohort.name
             );
@@ -1072,7 +1072,7 @@ pub(crate) mod tests {
         // wire: 1000 endpoints at 5 Hz for 0.5 s ≈ 2500 modeled frames
         // over ~50 wire frames.
         let neutral = sink.cohort("pop1-neutral").expect("fluid cohort");
-        assert!(neutral.rx_packets > 10 * neutral.wire_frames);
+        assert!(neutral.rx.rx_packets > 10 * neutral.wire_frames);
         let counters = sim.link_counters(built.bottleneck.0, built.bottleneck.1);
         assert!(
             counters.tx_bytes > 50_000,

@@ -102,10 +102,10 @@ fn run_neutralized(key_cache: usize) -> (Outcome, CacheStats) {
         .key_table();
     let outcome = Outcome {
         tx_packets: fs.tx_packets,
-        rx_packets: fs.rx_packets,
-        goodput_bits: fs.goodput_bps().to_bits(),
-        mean_delay_bits: fs.mean_delay().to_bits(),
-        jitter_bits: fs.jitter().to_bits(),
+        rx_packets: fs.rx.rx_packets,
+        goodput_bits: fs.rx.goodput_bps().to_bits(),
+        mean_delay_bits: fs.rx.mean_delay().to_bits(),
+        jitter_bits: fs.rx.jitter().to_bits(),
         replies: source.replies,
         verified_return_blocks: source.verified_return_blocks,
         data_forwarded: sim.stats().counter("neutralizer.data_forwarded"),

@@ -24,7 +24,7 @@
 use nn_core::app::{AppCommand, AppSource};
 use nn_lab::{PlainServerNode, PlainSourceNode};
 use nn_netsim::{
-    compute_routes, CohortModel, Histogram, LinkConfig, PopulationNode, PopulationSinkNode,
+    compute_routes, CohortModel, Histogram, LinkProfile, PopulationNode, PopulationSinkNode,
     RouterNode, SimTime, Simulator,
 };
 use nn_packet::{Ipv4Addr, Ipv4Cidr};
@@ -70,8 +70,8 @@ impl AppSource for EndpointApp {
 /// Fat access edge: so fast that back-to-back lattice arrivals never
 /// queue on the population's single edge, keeping it indistinguishable
 /// from N private edges.
-fn edge() -> LinkConfig {
-    LinkConfig::new(1_000_000_000, Duration::from_millis(1))
+fn edge() -> LinkProfile {
+    LinkProfile::new(1_000_000_000, Duration::from_millis(1))
 }
 
 /// Per-endpoint flow name, exactly 8 characters longer than [`COHORT`]
@@ -119,7 +119,7 @@ fn run_population(p: &CaseParams) -> (nn_netsim::CohortTx, nn_netsim::CohortAggr
     sim.connect_sym(
         r,
         sink,
-        LinkConfig::new(p.bottleneck_bps, Duration::from_millis(5)),
+        LinkProfile::new(p.bottleneck_bps, Duration::from_millis(5)),
     );
     let prefixes = vec![
         (Ipv4Cidr::new(src_addr, 24), pop),
@@ -185,7 +185,7 @@ fn run_hosts(p: &CaseParams) -> MergedHosts {
     sim.connect_sym(
         r,
         server,
-        LinkConfig::new(p.bottleneck_bps, Duration::from_millis(5)),
+        LinkProfile::new(p.bottleneck_bps, Duration::from_millis(5)),
     );
     let tables = compute_routes(sim.edges(), &prefixes, sim.node_count());
     sim.node_mut::<RouterNode>(r)
@@ -208,13 +208,13 @@ fn run_hosts(p: &CaseParams) -> MergedHosts {
         if let Some(fs) = sim.stats().flow(&host_flow(i)) {
             merged.tx_packets += fs.tx_packets;
             merged.tx_bytes += fs.tx_bytes;
-            merged.rx_packets += fs.rx_packets;
-            merged.rx_bytes += fs.rx_bytes;
-            merged.delay_hist.merge(&fs.delay_hist);
-            merged.jitter_hist.merge(&fs.jitter_hist);
-            merged.reorder_hist.merge(&fs.reorder_hist);
-            merged.ce_gap_hist.merge(&fs.ce_gap_hist);
-            merged.delay_sum += fs.mean_delay() * fs.rx_packets as f64;
+            merged.rx_packets += fs.rx.rx_packets;
+            merged.rx_bytes += fs.rx.rx_bytes;
+            merged.delay_hist.merge(&fs.rx.delay_hist);
+            merged.jitter_hist.merge(&fs.rx.jitter_hist);
+            merged.reorder_hist.merge(&fs.rx.reorder_hist);
+            merged.ce_gap_hist.merge(&fs.rx.ce_gap_hist);
+            merged.delay_sum += fs.rx.mean_delay() * fs.rx.rx_packets as f64;
         }
     }
     merged
@@ -229,29 +229,29 @@ fn check(p: &CaseParams) -> Result<(), TestCaseError> {
     prop_assert_eq!(tx.tx_bytes, hosts.tx_bytes, "tx bytes");
     // Identical wire lengths through an identical hop structure make
     // delivery (and any in-flight tail at the cutoff) exact too.
-    prop_assert_eq!(agg.rx_packets, hosts.rx_packets, "rx counts");
-    prop_assert_eq!(agg.rx_bytes, hosts.rx_bytes, "rx bytes");
-    prop_assert!(agg.rx_packets > 0, "the case must deliver something");
+    prop_assert_eq!(agg.rx.rx_packets, hosts.rx_packets, "rx counts");
+    prop_assert_eq!(agg.rx.rx_bytes, hosts.rx_bytes, "rx bytes");
+    prop_assert!(agg.rx.rx_packets > 0, "the case must deliver something");
 
     // The aggregate histograms are byte-identical to the merged
     // per-flow histograms (NNH1 encoding is multiset-order-invariant).
     prop_assert_eq!(
-        agg.delay_hist.encode(),
+        agg.rx.delay_hist.encode(),
         hosts.delay_hist.encode(),
         "delay histograms"
     );
     prop_assert_eq!(
-        agg.jitter_hist.encode(),
+        agg.rx.jitter_hist.encode(),
         hosts.jitter_hist.encode(),
         "jitter histograms"
     );
     prop_assert_eq!(
-        agg.reorder_hist.encode(),
+        agg.rx.reorder_hist.encode(),
         hosts.reorder_hist.encode(),
         "reorder histograms"
     );
     prop_assert_eq!(
-        agg.ce_gap_hist.encode(),
+        agg.rx.ce_gap_hist.encode(),
         hosts.ce_gap_hist.encode(),
         "ce-gap histograms"
     );
@@ -259,9 +259,9 @@ fn check(p: &CaseParams) -> Result<(), TestCaseError> {
     // Mean delay only up to float-summation order.
     let host_mean = hosts.delay_sum / hosts.rx_packets as f64;
     prop_assert!(
-        (agg.mean_delay() - host_mean).abs() < 1e-9,
+        (agg.rx.mean_delay() - host_mean).abs() < 1e-9,
         "mean delay diverged: {} vs {}",
-        agg.mean_delay(),
+        agg.rx.mean_delay(),
         host_mean
     );
     Ok(())

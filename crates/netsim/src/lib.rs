@@ -37,7 +37,8 @@
 //!   but keep only per-cohort aggregate statistics, with an optional
 //!   fluid mode advancing bulk cohorts as rate equations between wheel
 //!   quanta.
-//! * [`stats`] — counters, series, per-flow delay/goodput accounting.
+//! * [`stats`] — counters and per-flow delay/goodput accounting, with
+//!   receive accounting ([`RxStats`]) shared by flows and cohorts.
 //! * [`time`] — nanosecond simulated time.
 //!
 //! Everything is deterministic under a fixed seed: the same topology and
@@ -63,7 +64,7 @@ pub mod wheel;
 pub use events::{EventTimeline, NetEvent};
 pub use frame::{FrameBuf, FramePool};
 pub use histogram::Histogram;
-pub use link::{FaultConfig, LinkConfig, LinkProfile, LossModel, QueueKind, StageSpec};
+pub use link::{LinkProfile, LossModel, QueueKind, StageSpec};
 pub use nodes::{RouterNode, SinkNode};
 pub use policy::{Action, MatchExpr, PolicyEngine, Rule, Verdict};
 pub use population::{
@@ -73,6 +74,6 @@ pub use population::{
 pub use queue::{DropTail, DscpPriority, EnqueueResult, Queue, Red, TokenBucket};
 pub use routing::{compute_routes, RouteTable};
 pub use sim::{Context, IfaceId, LinkCounters, Node, NodeId, Simulator};
-pub use stats::{FlowKey, FlowStats, Stats};
+pub use stats::{FlowKey, FlowStats, RxStats, Stats};
 pub use time::{tx_time, SimTime};
 pub use wheel::TimingWheel;

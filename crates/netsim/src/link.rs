@@ -10,11 +10,6 @@
 //! per frame, in order, with every random draw taken from the one seeded
 //! simulation RNG, so a (topology, seed) pair reproduces a byte-identical
 //! drop/mark/reorder trace.
-//!
-//! The legacy flat `LinkConfig { bandwidth, latency, queue, fault }` API
-//! survives as thin constructors: [`LinkProfile::new`] is the old
-//! `LinkConfig::new`, and [`LinkProfile::with_fault`] lowers a
-//! [`FaultConfig`] onto a Bernoulli-loss stage plus a corruption stage.
 
 use crate::queue::{DropTail, DscpPriority, Queue, Red};
 use std::time::Duration;
@@ -66,7 +61,7 @@ impl QueueKind {
 /// A per-frame loss process.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossModel {
-    /// Independent per-frame loss — the legacy `FaultConfig::drop_prob`.
+    /// Independent per-frame loss.
     Bernoulli {
         /// Probability each frame is dropped.
         prob: f64,
@@ -118,8 +113,7 @@ impl LossModel {
 pub enum StageSpec {
     /// Drop frames according to a [`LossModel`].
     Loss(LossModel),
-    /// Flip one random bit in one random byte with probability `prob`
-    /// (the legacy `FaultConfig::corrupt_prob`).
+    /// Flip one random bit in one random byte with probability `prob`.
     Corrupt {
         /// Per-frame corruption probability.
         prob: f64,
@@ -133,17 +127,6 @@ pub enum StageSpec {
         /// Upper bound on the extra holding delay.
         max_extra: Duration,
     },
-}
-
-/// Random fault injection — the legacy two-knob API, kept as a
-/// convenience spec that [`LinkProfile::with_fault`] lowers onto loss
-/// and corruption stages.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FaultConfig {
-    /// Probability a frame is silently dropped.
-    pub drop_prob: f64,
-    /// Probability one random byte is flipped.
-    pub corrupt_prob: f64,
 }
 
 /// One direction of a point-to-point link: the full impairment pipeline.
@@ -160,10 +143,6 @@ pub struct LinkProfile {
     /// Ordered post-serializer impairment stages.
     pub stages: Vec<StageSpec>,
 }
-
-/// The pre-redesign name. `LinkConfig::new(bw, latency)` call sites
-/// migrate mechanically: the constructor now builds an empty pipeline.
-pub type LinkConfig = LinkProfile;
 
 impl LinkProfile {
     /// A sensible default: `bandwidth`, `latency`, 256 KiB drop-tail,
@@ -194,22 +173,6 @@ impl LinkProfile {
     /// Appends a loss stage.
     pub fn with_loss(self, model: LossModel) -> Self {
         self.with_stage(StageSpec::Loss(model))
-    }
-
-    /// Lowers the legacy fault knobs onto pipeline stages: a Bernoulli
-    /// loss stage and a corruption stage (each only when non-zero).
-    pub fn with_fault(mut self, fault: FaultConfig) -> Self {
-        if fault.drop_prob > 0.0 {
-            self.stages.push(StageSpec::Loss(LossModel::Bernoulli {
-                prob: fault.drop_prob,
-            }));
-        }
-        if fault.corrupt_prob > 0.0 {
-            self.stages.push(StageSpec::Corrupt {
-                prob: fault.corrupt_prob,
-            });
-        }
-        self
     }
 
     /// Builds the queue discipline instance for this profile.
@@ -258,29 +221,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn legacy_constructor_builds_an_empty_pipeline() {
-        let p = LinkConfig::new(10_000_000, Duration::from_millis(5));
+    fn new_builds_an_empty_pipeline() {
+        let p = LinkProfile::new(10_000_000, Duration::from_millis(5));
         assert_eq!(p.bandwidth_bps, 10_000_000);
         assert_eq!(p.queue, QueueKind::DropTail);
         assert!(p.stages.is_empty());
-    }
-
-    #[test]
-    fn with_fault_lowers_to_stages() {
-        let p = LinkProfile::new(1, Duration::ZERO).with_fault(FaultConfig {
-            drop_prob: 0.25,
-            corrupt_prob: 0.5,
-        });
-        assert_eq!(
-            p.stages,
-            vec![
-                StageSpec::Loss(LossModel::Bernoulli { prob: 0.25 }),
-                StageSpec::Corrupt { prob: 0.5 },
-            ]
-        );
-        // Zero knobs add no stages at all.
-        let clean = LinkProfile::new(1, Duration::ZERO).with_fault(FaultConfig::default());
-        assert!(clean.stages.is_empty());
     }
 
     #[test]

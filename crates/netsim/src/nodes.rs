@@ -241,7 +241,7 @@ mod tests {
     use super::*;
     use crate::policy::{Action, MatchExpr, Rule};
     use crate::routing::compute_routes;
-    use crate::sim::{LinkConfig, Simulator};
+    use crate::sim::{LinkProfile, Simulator};
     use nn_packet::{build_udp, Ipv4Addr, Ipv4Cidr};
     use std::time::Duration;
 
@@ -254,7 +254,7 @@ mod tests {
         let a = sim.add_node("a", Box::new(SinkNode::new()));
         let r = sim.add_node("r", Box::new(RouterNode::new("r")));
         let b = sim.add_node("b", Box::new(SinkNode::new()));
-        let cfg = LinkConfig::new(1_000_000_000, Duration::from_millis(1));
+        let cfg = LinkProfile::new(1_000_000_000, Duration::from_millis(1));
         sim.connect_sym(a, r, cfg.clone());
         sim.connect_sym(r, b, cfg);
         let prefixes = vec![

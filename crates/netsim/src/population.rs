@@ -19,10 +19,10 @@
 //!   traffic exactly as on foreground flows) while keeping only O(1)
 //!   counters per cohort.
 //! * [`PopulationSinkNode`] / [`CohortAggregate`] — the receive side:
-//!   per-cohort aggregate flow statistics (counts, bytes, delay /
-//!   jitter / reorder / CE-gap [`Histogram`]s) that replicate
-//!   [`crate::stats::Stats::flow_rx`] semantics without a per-packet or
-//!   per-host sample vector.
+//!   per-cohort [`RxStats`] (counts, bytes, delay / jitter / reorder /
+//!   CE-gap histograms, running delay and jitter sums) recorded on one
+//!   [`RxTrack`] per endpoint stripe, without a per-packet or per-host
+//!   sample vector.
 //!
 //! In **fluid mode** a bulk cohort advances as a rate equation between
 //! wheel quanta: every [`FLUID_QUANTUM`] the node integrates the
@@ -39,8 +39,8 @@
 //! seed fully pins every emitted byte.
 
 use crate::frame::FrameBuf;
-use crate::histogram::Histogram;
 use crate::sim::{Context, IfaceId, Node};
+use crate::stats::{is_ce, RxStats, RxTrack};
 use crate::time::SimTime;
 use nn_packet::{build_udp_into, ecn, parse_udp, Ipv4Addr, Ipv4Packet};
 use rand::rngs::StdRng;
@@ -528,21 +528,10 @@ impl Node for PopulationNode {
 // Receive side
 // ---------------------------------------------------------------------------
 
-/// Per-endpoint receive chain state (one stripe slot; see
-/// [`AGGREGATE_STRIPES`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct EndpointTrack {
-    last_delay: Option<f64>,
-    max_sent: Option<SimTime>,
-    rx_packets: u64,
-    last_ce_rx: Option<u64>,
-}
-
-/// Aggregate flow statistics for one cohort — the population-scale
-/// stand-in for [`crate::stats::FlowStats`]. Counters and the four
-/// histograms replicate [`crate::stats::Stats::flow_rx`] /
-/// [`crate::stats::Stats::flow_ce`] semantics exactly (per endpoint,
-/// up to [`AGGREGATE_STRIPES`] endpoints), but no per-packet sample
+/// Receive statistics for one cohort — the population-scale stand-in
+/// for [`crate::stats::FlowStats`]. Deliveries go through the same
+/// [`RxStats::record`] as host flows, on one [`RxTrack`] per endpoint
+/// (up to [`AGGREGATE_STRIPES`] endpoints), but no per-packet sample
 /// vector is kept: memory is O(stripes), not O(received frames).
 #[derive(Debug, Clone)]
 pub struct CohortAggregate {
@@ -550,31 +539,12 @@ pub struct CohortAggregate {
     pub name: String,
     /// Modeled endpoint count.
     pub endpoints: u64,
-    /// Modeled frames received (a fluid batch credits its whole
-    /// represented count).
-    pub rx_packets: u64,
-    /// Modeled application bytes received.
-    pub rx_bytes: u64,
     /// Wire frames received for this cohort.
     pub wire_frames: u64,
-    /// Modeled frames that arrived CE-marked.
-    pub ce_marks: u64,
-    /// One-way delay distribution (nanosecond resolution).
-    pub delay_hist: Histogram,
-    /// Inter-arrival delay-variation distribution per endpoint.
-    pub jitter_hist: Histogram,
-    /// Late-arrival (reorder) displacement distribution per endpoint.
-    pub reorder_hist: Histogram,
-    /// Received-frame gaps between CE marks per endpoint.
-    pub ce_gap_hist: Histogram,
-    /// First delivery time.
-    pub first_rx: Option<SimTime>,
-    /// Last delivery time.
-    pub last_rx: Option<SimTime>,
-    delay_sum: f64,
-    jitter_sum: f64,
-    jitter_count: u64,
-    tracks: Vec<EndpointTrack>,
+    /// Modeled frames and bytes received (a fluid batch credits its
+    /// whole represented count).
+    pub rx: RxStats,
+    tracks: Vec<RxTrack>,
 }
 
 impl CohortAggregate {
@@ -584,34 +554,15 @@ impl CohortAggregate {
         CohortAggregate {
             name: name.into(),
             endpoints,
-            rx_packets: 0,
-            rx_bytes: 0,
             wire_frames: 0,
-            ce_marks: 0,
-            delay_hist: Histogram::new(),
-            jitter_hist: Histogram::new(),
-            reorder_hist: Histogram::new(),
-            ce_gap_hist: Histogram::new(),
-            first_rx: None,
-            last_rx: None,
-            delay_sum: 0.0,
-            jitter_sum: 0.0,
-            jitter_count: 0,
-            tracks: vec![EndpointTrack::default(); stripes],
+            rx: RxStats::default(),
+            tracks: vec![RxTrack::default(); stripes],
         }
     }
 
     /// Credits one wire frame carrying `represented` modeled frames of
-    /// `body_bytes` each, sent at `sent` and delivered at `now`.
-    ///
-    /// The update order mirrors [`crate::stats::Stats::flow_rx`]
-    /// followed (when `ce`) by [`crate::stats::Stats::flow_ce`]: jitter
-    /// against the endpoint's previous delay *before* it is replaced,
-    /// reorder against the endpoint's max sent-time watermark, CE gaps
-    /// against the endpoint's post-increment receive count. A fluid
-    /// batch (`represented > 1`) shares one delay sample, so the batch
-    /// contributes `represented − 1` zero jitter samples beyond the
-    /// transition from the previous delivery.
+    /// `body_bytes` each, sent at `sent` and delivered at `now`, on the
+    /// emitting endpoint's track.
     pub fn record(
         &mut self,
         endpoint: u32,
@@ -621,82 +572,11 @@ impl CohortAggregate {
         now: SimTime,
         ce: bool,
     ) {
-        let rep = represented.max(1) as u64;
         self.wire_frames += 1;
-        self.rx_packets += rep;
-        self.rx_bytes += rep * body_bytes;
-        let delay = (now - sent).as_secs_f64();
-        let slot = (endpoint as usize) % self.tracks.len();
-        let track = &mut self.tracks[slot];
-        if let Some(prev) = track.last_delay {
-            let dv = (delay - prev).abs();
-            self.jitter_hist.record_secs(dv);
-            self.jitter_sum += dv;
-            self.jitter_count += 1;
-            if rep > 1 {
-                self.jitter_hist.record_n(0, rep - 1);
-                self.jitter_count += rep - 1;
-            }
-        } else if rep > 1 {
-            self.jitter_hist.record_n(0, rep - 1);
-            self.jitter_count += rep - 1;
-        }
-        track.last_delay = Some(delay);
-        self.delay_hist.record_secs_n(delay, rep);
-        self.delay_sum += delay * rep as f64;
-        match track.max_sent {
-            Some(max) if sent < max => {
-                self.reorder_hist
-                    .record_secs_n((max - sent).as_secs_f64(), rep);
-            }
-            _ => track.max_sent = Some(sent),
-        }
-        track.rx_packets += rep;
-        if self.first_rx.is_none() {
-            self.first_rx = Some(now);
-        }
-        self.last_rx = Some(now);
-        if ce {
-            self.ce_marks += rep;
-            let gap = track.rx_packets - track.last_ce_rx.unwrap_or(0);
-            self.ce_gap_hist.record(gap);
-            if rep > 1 {
-                // Within the batch every modeled frame after the first
-                // is CE-marked back to back: gap 1 each.
-                self.ce_gap_hist.record_n(1, rep - 1);
-            }
-            track.last_ce_rx = Some(track.rx_packets);
-        }
-    }
-
-    /// Mean one-way delay in seconds (0.0 before any delivery).
-    pub fn mean_delay(&self) -> f64 {
-        if self.rx_packets == 0 {
-            0.0
-        } else {
-            self.delay_sum / self.rx_packets as f64
-        }
-    }
-
-    /// Mean absolute delay variation in seconds (0.0 with fewer than
-    /// two samples on every endpoint chain).
-    pub fn jitter(&self) -> f64 {
-        if self.jitter_count == 0 {
-            0.0
-        } else {
-            self.jitter_sum / self.jitter_count as f64
-        }
-    }
-
-    /// Application-byte goodput over the first-to-last delivery window
-    /// (0.0 until the window has positive width).
-    pub fn goodput_bps(&self) -> f64 {
-        match (self.first_rx, self.last_rx) {
-            (Some(first), Some(last)) if last > first => {
-                self.rx_bytes as f64 * 8.0 / (last - first).as_secs_f64()
-            }
-            _ => 0.0,
-        }
+        let slot = endpoint as usize % self.tracks.len();
+        let rep = represented.max(1) as u64;
+        self.rx
+            .record(&mut self.tracks[slot], rep, body_bytes, sent, now, ce);
     }
 }
 
@@ -737,7 +617,7 @@ impl PopulationSinkNode {
     }
 
     fn ingest(&mut self, now: SimTime, frame: &[u8]) -> bool {
-        let ce = Ipv4Packet::new_checked(frame).is_ok_and(|p| p.ecn() == ecn::CE);
+        let ce = is_ce(frame);
         let Ok(parsed) = parse_udp(frame) else {
             return false;
         };
@@ -771,7 +651,8 @@ impl Node for PopulationSinkNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::LinkConfig;
+    use crate::histogram::Histogram;
+    use crate::link::LinkProfile;
     use crate::sim::Simulator;
     use crate::stats::Stats;
 
@@ -882,7 +763,7 @@ mod tests {
         sim.connect_sym(
             pop,
             sink,
-            LinkConfig::new(100_000_000, Duration::from_millis(2)),
+            LinkProfile::new(100_000_000, Duration::from_millis(2)),
         );
         sim.run_until(SimTime::from_millis(millis));
         let tx = sim
@@ -907,16 +788,19 @@ mod tests {
         assert!(tx[0].tx_packets >= 50, "{}", tx[0].tx_packets);
         let agg = &rx[0];
         // The clean link delivers everything emitted at least 2 ms early.
-        assert!(agg.rx_packets >= 50 && agg.rx_packets <= tx[0].tx_packets);
-        assert_eq!(agg.rx_bytes % 200, 0);
-        assert!(agg.mean_delay() > 0.0);
-        assert!(agg.goodput_bps() > 0.0);
+        assert!(agg.rx.rx_packets >= 50 && agg.rx.rx_packets <= tx[0].tx_packets);
+        assert_eq!(agg.rx.rx_bytes % 200, 0);
+        assert!(agg.rx.mean_delay() > 0.0);
+        assert!(agg.rx.goodput_bps() > 0.0);
         // Same seed, same run: byte-identical aggregates.
         let (tx2, rx2) = run_population(models, 11, 200);
         assert_eq!(tx[0], tx2[0]);
-        assert_eq!(rx[0].delay_hist.encode(), rx2[0].delay_hist.encode());
-        assert_eq!(rx[0].jitter_hist.encode(), rx2[0].jitter_hist.encode());
-        assert_eq!(rx[0].rx_packets, rx2[0].rx_packets);
+        assert_eq!(rx[0].rx.delay_hist.encode(), rx2[0].rx.delay_hist.encode());
+        assert_eq!(
+            rx[0].rx.jitter_hist.encode(),
+            rx2[0].rx.jitter_hist.encode()
+        );
+        assert_eq!(rx[0].rx.rx_packets, rx2[0].rx.rx_packets);
     }
 
     #[test]
@@ -927,8 +811,8 @@ mod tests {
         let (tx, rx) = run_population(vec![m.clone()], 99, 150);
         let (tx2, rx2) = run_population(vec![m], 99, 150);
         assert_eq!(tx[0], tx2[0]);
-        assert_eq!(rx[0].rx_bytes, rx2[0].rx_bytes);
-        assert_eq!(rx[0].delay_hist.encode(), rx2[0].delay_hist.encode());
+        assert_eq!(rx[0].rx.rx_bytes, rx2[0].rx.rx_bytes);
+        assert_eq!(rx[0].rx.delay_hist.encode(), rx2[0].rx.delay_hist.encode());
         // The spread actually varied frame sizes: bytes are not a
         // multiple of the fixed 200-byte body.
         assert!(tx[0].tx_bytes > tx[0].tx_packets * 200);
@@ -951,23 +835,23 @@ mod tests {
         assert!(ftx[0].wire_frames < ptx[0].wire_frames / 5);
         // The sink credits whole batches (the final quantum's batch may
         // still be in flight at the cutoff).
-        assert!(frx[0].rx_packets >= ftx[0].tx_packets.saturating_sub(40));
-        assert_eq!(frx[0].rx_bytes, frx[0].rx_packets * 200);
-        assert!(prx[0].rx_packets >= frx[0].rx_packets.saturating_sub(40));
-        assert_eq!(frx[0].delay_hist.total(), frx[0].rx_packets);
+        assert!(frx[0].rx.rx_packets >= ftx[0].tx_packets.saturating_sub(40));
+        assert_eq!(frx[0].rx.rx_bytes, frx[0].rx.rx_packets * 200);
+        assert!(prx[0].rx.rx_packets >= frx[0].rx.rx_packets.saturating_sub(40));
+        assert_eq!(frx[0].rx.delay_hist.total(), frx[0].rx.rx_packets);
         // Every batch member beyond the first contributes a zero jitter
         // sample; frames whose endpoint track already saw a delivery add
         // one real transition sample on top.
-        let zeros = frx[0].rx_packets - frx[0].wire_frames;
-        assert!(frx[0].jitter_hist.total() >= zeros);
-        assert!(frx[0].jitter_hist.total() <= frx[0].rx_packets);
+        let zeros = frx[0].rx.rx_packets - frx[0].wire_frames;
+        assert!(frx[0].rx.jitter_hist.total() >= zeros);
+        assert!(frx[0].rx.jitter_hist.total() <= frx[0].rx.rx_packets);
     }
 
     #[test]
     fn aggregate_replicates_flow_rx_semantics_byte_for_byte() {
         // Interleave three endpoints' deliveries (with reordering and CE
-        // marks) through both accounting paths: per-endpoint FlowStats
-        // merged at the end must equal the cohort aggregate exactly.
+        // marks) through a cohort and through three host flows: the
+        // per-endpoint tracks make the cohort equal the merged flows.
         let deliveries: &[(u32, u64, u64, bool)] = &[
             // (endpoint, sent_ns, now_ns, ce)
             (0, 0, 2_000_000, false),
@@ -986,10 +870,7 @@ mod tests {
         for &(ep, sent, now, ce) in deliveries {
             agg.record(ep, 1, 180, SimTime(sent), SimTime(now), ce);
             let flow = format!("coh-ep{ep}");
-            stats.flow_rx(&flow, 180, SimTime(sent), SimTime(now));
-            if ce {
-                stats.flow_ce(&flow);
-            }
+            stats.flow_rx(&flow, 180, SimTime(sent), SimTime(now), ce);
         }
         let mut rx_packets = 0;
         let mut rx_bytes = 0;
@@ -999,7 +880,7 @@ mod tests {
         let mut reorder = Histogram::new();
         let mut ce_gap = Histogram::new();
         for ep in 0..3 {
-            let f = stats.flow(&format!("coh-ep{ep}")).expect("flow exists");
+            let f = &stats.flow(&format!("coh-ep{ep}")).expect("flow exists").rx;
             rx_packets += f.rx_packets;
             rx_bytes += f.rx_bytes;
             ce_marks += f.ce_marks;
@@ -1008,15 +889,18 @@ mod tests {
             reorder.merge(&f.reorder_hist);
             ce_gap.merge(&f.ce_gap_hist);
         }
-        assert_eq!(agg.rx_packets, rx_packets);
-        assert_eq!(agg.rx_bytes, rx_bytes);
-        assert_eq!(agg.ce_marks, ce_marks);
-        assert_eq!(agg.delay_hist.encode(), delay.encode());
-        assert_eq!(agg.jitter_hist.encode(), jitter.encode());
-        assert_eq!(agg.reorder_hist.encode(), reorder.encode());
-        assert_eq!(agg.ce_gap_hist.encode(), ce_gap.encode());
-        assert!(!agg.reorder_hist.is_empty(), "the scripted reorder landed");
-        assert!(agg.jitter() > 0.0);
+        assert_eq!(agg.rx.rx_packets, rx_packets);
+        assert_eq!(agg.rx.rx_bytes, rx_bytes);
+        assert_eq!(agg.rx.ce_marks, ce_marks);
+        assert_eq!(agg.rx.delay_hist.encode(), delay.encode());
+        assert_eq!(agg.rx.jitter_hist.encode(), jitter.encode());
+        assert_eq!(agg.rx.reorder_hist.encode(), reorder.encode());
+        assert_eq!(agg.rx.ce_gap_hist.encode(), ce_gap.encode());
+        assert!(
+            !agg.rx.reorder_hist.is_empty(),
+            "the scripted reorder landed"
+        );
+        assert!(agg.rx.jitter() > 0.0);
     }
 
     #[test]
@@ -1024,9 +908,9 @@ mod tests {
         let mut agg = CohortAggregate::new("big", 1_000_000);
         assert_eq!(agg.tracks.len(), AGGREGATE_STRIPES);
         agg.record(999_999, 1000, 100, SimTime(0), SimTime(1_000_000), false);
-        assert_eq!(agg.rx_packets, 1000);
-        assert_eq!(agg.rx_bytes, 100_000);
-        assert_eq!(agg.delay_hist.total(), 1000);
+        assert_eq!(agg.rx.rx_packets, 1000);
+        assert_eq!(agg.rx.rx_bytes, 100_000);
+        assert_eq!(agg.rx.delay_hist.total(), 1000);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::events::{EventTimeline, NetEvent};
 use crate::frame::{FrameBuf, FramePool};
-use crate::link::{LinkProfile, LossModel, StageSpec, StageState};
+use crate::link::{LossModel, StageSpec, StageState};
 use crate::nodes::RouterNode;
 use crate::queue::{EnqueueResult, Queue};
 use crate::stats::Stats;
@@ -28,8 +28,7 @@ use rand::{Rng, SeedableRng};
 use std::any::Any;
 use std::time::Duration;
 
-// Legacy paths: these types lived here before the pipeline redesign.
-pub use crate::link::{FaultConfig, LinkConfig, QueueKind};
+pub use crate::link::{LinkProfile, QueueKind};
 
 /// Index of a node in the simulator.
 pub type NodeId = usize;
@@ -346,8 +345,8 @@ impl Simulator {
         &mut self,
         a: NodeId,
         b: NodeId,
-        a_to_b: LinkConfig,
-        b_to_a: LinkConfig,
+        a_to_b: LinkProfile,
+        b_to_a: LinkProfile,
     ) -> (IfaceId, IfaceId) {
         let iface_a = self.ifaces[a].len();
         let iface_b = self.ifaces[b].len();
@@ -381,7 +380,7 @@ impl Simulator {
     }
 
     /// Connects with the same profile in both directions.
-    pub fn connect_sym(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) -> (IfaceId, IfaceId) {
+    pub fn connect_sym(&mut self, a: NodeId, b: NodeId, cfg: LinkProfile) -> (IfaceId, IfaceId) {
         self.connect(a, b, cfg.clone(), cfg)
     }
 
@@ -859,7 +858,7 @@ mod tests {
         sim.connect_sym(
             pinger,
             echo,
-            LinkConfig::new(mbps(10), Duration::from_millis(5)),
+            LinkProfile::new(mbps(10), Duration::from_millis(5)),
         );
         sim.run(1000);
         let p = sim.node_ref::<Pinger>(pinger).unwrap();
@@ -885,7 +884,7 @@ mod tests {
         sim.connect_sym(
             pinger,
             echo,
-            LinkConfig::new(mbps(10), Duration::from_millis(5)),
+            LinkProfile::new(mbps(10), Duration::from_millis(5)),
         );
         sim.run(1000);
         let p = sim.node_ref::<Pinger>(pinger).unwrap();
@@ -919,7 +918,7 @@ mod tests {
         sim.connect_sym(
             pinger,
             echo,
-            LinkConfig::new(mbps(10), Duration::from_millis(1))
+            LinkProfile::new(mbps(10), Duration::from_millis(1))
                 .with_queue(QueueKind::DropTail, 2000),
         );
         sim.run(10_000);
@@ -942,11 +941,9 @@ mod tests {
             }),
         );
         let echo = sim.add_node("echo", Box::new(Echo { rx: 0 }));
-        let lossy = LinkConfig::new(mbps(100), Duration::from_micros(10)).with_fault(FaultConfig {
-            drop_prob: 0.5,
-            corrupt_prob: 0.0,
-        });
-        let clean = LinkConfig::new(mbps(100), Duration::from_micros(10));
+        let lossy = LinkProfile::new(mbps(100), Duration::from_micros(10))
+            .with_loss(LossModel::Bernoulli { prob: 0.5 });
+        let clean = LinkProfile::new(mbps(100), Duration::from_micros(10));
         sim.connect(pinger, echo, lossy, clean);
         sim.run(100_000);
         let e = sim.node_ref::<Echo>(echo).unwrap();
@@ -974,11 +971,9 @@ mod tests {
                 }),
             );
             let echo = sim.add_node("e", Box::new(Echo { rx: 0 }));
-            let lossy =
-                LinkConfig::new(mbps(50), Duration::from_micros(100)).with_fault(FaultConfig {
-                    drop_prob: 0.3,
-                    corrupt_prob: 0.1,
-                });
+            let lossy = LinkProfile::new(mbps(50), Duration::from_micros(100))
+                .with_loss(LossModel::Bernoulli { prob: 0.3 })
+                .with_stage(StageSpec::Corrupt { prob: 0.1 });
             sim.connect(pinger, echo, lossy.clone(), lossy);
             sim.run(1_000_000);
             sim.node_ref::<Pinger>(pinger).unwrap().replies
@@ -1078,7 +1073,7 @@ mod tests {
         sim.connect_sym(
             pinger,
             echo,
-            LinkConfig::new(mbps(10), Duration::from_millis(1)),
+            LinkProfile::new(mbps(10), Duration::from_millis(1)),
         );
         sim.run(100_000);
         let (allocs, hits, recycled) = sim.pool_stats();

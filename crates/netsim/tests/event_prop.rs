@@ -16,7 +16,7 @@
 //! node vanish into `events.pause_drops`.
 
 use nn_netsim::{
-    Context, EventTimeline, FrameBuf, IfaceId, LinkConfig, LinkCounters, NetEvent, Node, SimTime,
+    Context, EventTimeline, FrameBuf, IfaceId, LinkCounters, LinkProfile, NetEvent, Node, SimTime,
     Simulator,
 };
 use nn_packet::{build_udp, Ipv4Addr};
@@ -73,8 +73,8 @@ impl Node for Recorder {
 /// A fast clean link: a 60-byte frame serializes in ~5µs and crosses in
 /// 100µs, so a frame sent at tick `k` ms is fully delivered well before
 /// `k + 0.5` ms — window edges at half-ticks are unambiguous.
-fn fast_link() -> LinkConfig {
-    LinkConfig::new(100_000_000, Duration::from_micros(100))
+fn fast_link() -> LinkProfile {
+    LinkProfile::new(100_000_000, Duration::from_micros(100))
 }
 
 /// Runs `n` 1ms-spaced frames over a link that is down during
