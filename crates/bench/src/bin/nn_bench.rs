@@ -11,7 +11,9 @@
 //! perf trajectory across PRs. `--check` re-reads a committed baseline
 //! report and fails (exit 1) if any bench shared with the current run
 //! regressed by more than `--tolerance` percent (default 25) — the CI
-//! regression gate for the allocation-free data path.
+//! regression gate for the allocation-free data path. The baseline is
+//! loaded before any suite runs: an unreadable or non-JSON file exits 1
+//! at once.
 //!
 //! `--require SUITE/BENCH[,SUITE/BENCH…]` hardens the gate: each named
 //! bench must be present in both the current run and the baseline, so a
@@ -30,6 +32,8 @@
 
 use nn_bench::{suites::SUITES, take_results, BenchResult};
 use nn_lab::json::Json;
+use std::fmt;
+use std::path::Path;
 
 fn usage() -> ! {
     eprintln!(
@@ -117,6 +121,15 @@ fn main() {
         }
     }
 
+    // Load the baseline before any suite runs: a missing or malformed
+    // file must fail now, not after minutes of benchmarking.
+    let baseline = check_path.as_ref().map(|path| {
+        load_baseline(Path::new(path)).unwrap_or_else(|e| {
+            eprintln!("nn-bench: baseline {path}: {e}");
+            std::process::exit(1);
+        })
+    });
+
     // Run the suites, attributing each drained batch of results to the
     // suite that produced it.
     let mut report: Vec<(&str, Vec<BenchResult>)> = Vec::new();
@@ -148,13 +161,10 @@ fn main() {
         );
     }
 
-    if let Some(path) = &check_path {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("reading baseline {path}: {e}"));
-        let baseline = Json::parse(&baseline).unwrap_or_else(|e| panic!("{path} is not JSON: {e}"));
+    if let Some(baseline) = &baseline {
         let scale = match &calibrate {
             None => 1.0,
-            Some(spec) => calibration_scale(&report, &baseline, spec),
+            Some(spec) => calibration_scale(&report, baseline, spec),
         };
         // Only the suites named by --gate (default: every suite that
         // ran) are held to the tolerance — a calibration suite can ride
@@ -167,13 +177,37 @@ fn main() {
                 .cloned()
                 .collect(),
         };
-        if !require_present(&report, &baseline, &required) {
+        if !require_present(&report, baseline, &required) {
             std::process::exit(1);
         }
-        if !check_against(&gate_filter, &baseline, tolerance_pct, scale) {
+        if !check_against(&gate_filter, baseline, tolerance_pct, scale) {
             std::process::exit(1);
         }
     }
+}
+
+/// Why a `--check` baseline report could not be loaded.
+#[derive(Debug)]
+enum BaselineError {
+    /// The file could not be read.
+    Read(std::io::Error),
+    /// The file is not JSON.
+    Parse(String),
+}
+
+impl fmt::Display for BaselineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BaselineError::Read(e) => write!(f, "cannot read: {e}"),
+            BaselineError::Parse(e) => write!(f, "not JSON: {e}"),
+        }
+    }
+}
+
+/// Reads and parses a baseline report (the `BENCH_perf.json` schema).
+fn load_baseline(path: &Path) -> Result<Json, BaselineError> {
+    let text = std::fs::read_to_string(path).map_err(BaselineError::Read)?;
+    Json::parse(&text).map_err(BaselineError::Parse)
 }
 
 /// Verifies every `--require`d SUITE/BENCH exists in both the current

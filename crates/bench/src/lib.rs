@@ -124,6 +124,7 @@ pub mod suites;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nn_lab::json::Json;
 
     #[test]
     fn bench_measures_and_counts() {
@@ -163,6 +164,29 @@ mod tests {
             assert!(
                 bench_dir.join(format!("{name}.rs")).exists(),
                 "suite {name} missing its benches/{name}.rs shell"
+            );
+        }
+    }
+
+    /// Every suite the committed baseline names must still exist, so a
+    /// deleted suite cannot leave stale entries behind unnoticed.
+    #[test]
+    fn committed_baseline_names_only_live_suites() {
+        let baseline =
+            Json::parse(include_str!("../../../BENCH_perf.json")).expect("baseline JSON");
+        let suites = baseline
+            .get("suites")
+            .and_then(Json::as_arr)
+            .expect("baseline has a suites array");
+        assert!(!suites.is_empty());
+        for entry in suites {
+            let name = entry
+                .get("suite")
+                .and_then(Json::as_str)
+                .expect("every baseline entry names its suite");
+            assert!(
+                crate::suites::SUITES.iter().any(|(n, _, _)| *n == name),
+                "BENCH_perf.json names suite {name:?}, which SUITES does not have"
             );
         }
     }

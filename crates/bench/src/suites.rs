@@ -7,11 +7,9 @@
 //! [`crate::iters`]).
 
 use crate::{bench, header, iters, report_result, BenchResult};
-use nn_core::pushback::{PushbackConfig, PushbackEngine};
-use nn_crypto::factor::{factor_semiprime, rho_ops_estimate};
 use nn_crypto::kdf::MasterKey;
 use nn_crypto::sealed::AddrSealer;
-use nn_crypto::{e2e, Aes128, AesCtr, BigUint, Cmac, E2eSession};
+use nn_crypto::{e2e, Aes128, AesCtr, Cmac, E2eSession};
 use nn_netsim::SimTime;
 use nn_packet::Ipv4Addr;
 use rand::rngs::StdRng;
@@ -23,7 +21,7 @@ use std::time::Instant;
 /// Name, one-line description and entry point of every suite — the
 /// single source of truth `nn-bench --list` prints. Keep in sync
 /// with the `[[bench]]` shell targets in `Cargo.toml`.
-pub const SUITES: [(&str, &str, fn()); 13] = [
+pub const SUITES: [(&str, &str, fn()); 10] = [
     (
         "raw_crypto",
         "AES block, CMAC, CTR keystream, Ks derivation",
@@ -43,21 +41,6 @@ pub const SUITES: [(&str, &str, fn()); 13] = [
         "data_path",
         "neutralizer per-packet work, record channel",
         data_path,
-    ),
-    (
-        "dos_pushback",
-        "pushback admission and window accounting",
-        dos_pushback,
-    ),
-    (
-        "factoring",
-        "Pollard rho + E6 cost extrapolation",
-        factoring,
-    ),
-    (
-        "blinding",
-        "randomized padding vs raw exponentiation",
-        blinding,
     ),
     (
         "ablation_keysetup",
@@ -283,97 +266,6 @@ fn sim_data_path() {
     };
     bench("sim_forward_2router_1kframes", iters(50), || {
         black_box(run());
-    });
-}
-
-/// Pushback admission cost (§3.6): rejecting a flooded aggregate must
-/// cost a hash lookup, not an RSA operation — compare against
-/// [`key_setup`]'s encryption numbers.
-pub fn dos_pushback() {
-    header("dos_pushback");
-    let n = iters(100_000);
-
-    let mut engine = PushbackEngine::new(PushbackConfig::default(), SimTime::ZERO);
-    let mut t = 0u64;
-    bench("admit_unflagged", n, || {
-        t += 1;
-        black_box(engine.admit(SimTime(t), Ipv4Addr::new(10, (t % 200) as u8, 0, 1)));
-    });
-
-    // Flood one aggregate, flag it, then measure the rejection path.
-    let mut engine = PushbackEngine::new(
-        PushbackConfig {
-            setup_rate_threshold_pps: 100.0,
-            ..PushbackConfig::default()
-        },
-        SimTime::ZERO,
-    );
-    for i in 0..100_000u64 {
-        engine.admit(SimTime(i), Ipv4Addr::new(66, 6, 6, 6));
-    }
-    engine.tick(SimTime::from_millis(100));
-    let mut t = SimTime::from_millis(100).as_nanos();
-    bench("admit_flagged_aggregate", n, || {
-        t += 1;
-        black_box(engine.admit(SimTime(t), Ipv4Addr::new(66, 6, 6, 6)));
-    });
-
-    let mut engine = PushbackEngine::new(PushbackConfig::default(), SimTime::ZERO);
-    for i in 0..10_000u64 {
-        engine.admit(SimTime(i), Ipv4Addr::new((i % 250) as u8, 1, 2, 3));
-    }
-    bench("tick_10k_sources", iters(1_000), || {
-        black_box(engine.tick(SimTime::from_millis(100)));
-    });
-}
-
-/// Factoring costs for the security-window argument (E6): Pollard rho on
-/// small semiprimes plus the analytic extrapolation curve.
-pub fn factoring() {
-    header("factoring");
-
-    // 10403 = 101 * 103, then a pair of 31-bit primes.
-    bench("pollard_rho_14bit", iters(10_000), || {
-        black_box(factor_semiprime(black_box(10_403), 1 << 20).unwrap());
-    });
-    let n62: u128 = 2_147_483_647u128 * 2_147_483_629u128;
-    let reps = iters(5);
-    let start = Instant::now();
-    for _ in 0..reps {
-        black_box(factor_semiprime(black_box(n62), 1 << 32).unwrap());
-    }
-    report_result(&BenchResult {
-        name: "pollard_rho_62bit".into(),
-        iters: reps,
-        ns_per_iter: start.elapsed().as_nanos() as f64 / reps as f64,
-    });
-
-    // The analytic curve used by the E6 extrapolation.
-    for bits in [64u32, 128, 256, 512] {
-        println!(
-            "rho_ops_estimate({bits:>3} bits) = {:.3e}",
-            rho_ops_estimate(bits)
-        );
-    }
-}
-
-/// Randomized-padding cost: every key-setup encryption re-randomizes its
-/// PKCS#1-style padding, blinding repeated `(nonce, Ks)` payloads from
-/// an observing ISP. Isolates padding + conversion overhead from the raw
-/// modular exponentiation.
-pub fn blinding() {
-    header("blinding");
-    let mut rng = StdRng::seed_from_u64(3);
-    let kp = nn_crypto::generate_keypair(&mut rng, 512);
-    let msg = [0x5a; 24];
-
-    bench("padded_encrypt_512", iters(10_000), || {
-        black_box(kp.public.encrypt(&mut rng, black_box(&msg)).unwrap());
-    });
-
-    let m = BigUint::from_bytes_be(&[0x7e; 63]);
-    bench("raw_encrypt_512", iters(10_000), || {
-        black_box(kp.public.encrypt_raw(black_box(&m)).unwrap());
     });
 }
 

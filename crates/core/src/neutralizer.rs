@@ -11,16 +11,15 @@
 //! * key-setup packet → one short-RSA **encryption** (cheap, e = 3);
 //! * data/return packet → one CMAC derivation + one AES block operation.
 
-use crate::pushback::{PushbackConfig, PushbackEngine};
 use crate::qos;
-use crate::wire::{KeyFetchReply, KeyFetchReq, PushbackMsg};
+use crate::wire::{KeyFetchReply, KeyFetchReq};
 use nn_crypto::kdf::MasterKey;
 use nn_crypto::sealed::AddrSealer;
 use nn_crypto::RsaPublicKey;
 use nn_netsim::{Context, FrameBuf, IfaceId, Node, RouteTable};
 use nn_packet::{
-    build_shim, build_shim_into, parse_shim, shim_flags, Ipv4Addr, Ipv4Cidr, Ipv4Packet, KeyStamp,
-    ShimRepr, ShimType,
+    build_shim_into, parse_shim, shim_flags, Ipv4Addr, Ipv4Cidr, Ipv4Packet, KeyStamp, ShimRepr,
+    ShimType,
 };
 use rand::Rng;
 
@@ -33,8 +32,6 @@ fn preserve_ecn(incoming_ecn: u8, rebuilt: &mut FrameBuf) {
     Ipv4Packet::new_unchecked(rebuilt.as_mut_slice()).set_ecn(incoming_ecn);
 }
 
-/// Timer token for the pushback window tick.
-const TOKEN_PUSHBACK_TICK: u64 = 0xFB;
 /// Timer token for master-key rotation.
 const TOKEN_KEY_ROTATION: u64 = 0xFC;
 
@@ -326,8 +323,6 @@ pub struct NeutralizerConfig {
     pub domain: Vec<Ipv4Cidr>,
     /// Offload RSA work to this willing customer (§3.2), if set.
     pub offload_helper: Option<Ipv4Addr>,
-    /// DoS defense (§3.6), if enabled.
-    pub pushback: Option<PushbackConfig>,
     /// Rotate the master key automatically at this interval (§4's
     /// one-hour lifetime), if set.
     pub key_lifetime: Option<std::time::Duration>,
@@ -346,7 +341,6 @@ impl NeutralizerConfig {
             dyn_pool: Ipv4Cidr::new(Ipv4Addr::new(198, 19, 255, 0), 24),
             domain,
             offload_helper: None,
-            pushback: None,
             key_lifetime: None,
             key_cache: 1024,
             stats_name: "neutralizer".to_string(),
@@ -359,10 +353,6 @@ pub struct NeutralizerNode {
     config: NeutralizerConfig,
     keys: KeyTable,
     routes: RouteTable,
-    pushback: Option<PushbackEngine>,
-    /// Ingress iface of the most recent flood aggregate (for upstream
-    /// pushback requests).
-    last_setup_iface: Option<IfaceId>,
     /// Packets processed on the data path (forward + return).
     pub data_packets: u64,
     /// RSA encryptions performed (key setups served locally).
@@ -374,10 +364,8 @@ impl NeutralizerNode {
     pub fn new(config: NeutralizerConfig, master_key: [u8; 16]) -> Self {
         let keys = KeyTable::new(MasterKeyEpochs::new(master_key), config.key_cache);
         NeutralizerNode {
-            pushback: None, // armed in on_start (needs sim time)
             keys,
             routes: RouteTable::new(),
-            last_setup_iface: None,
             data_packets: 0,
             rsa_encryptions: 0,
             config,
@@ -403,11 +391,6 @@ impl NeutralizerNode {
     /// keys of the epoch that just expired are purged.
     pub fn rotate_master_key(&mut self, key: [u8; 16]) {
         self.keys.rotate(key);
-    }
-
-    /// The pushback engine, when enabled.
-    pub fn pushback(&self) -> Option<&PushbackEngine> {
-        self.pushback.as_ref()
     }
 
     fn stat(&self, ctx: &mut Context, suffix: &str) {
@@ -468,20 +451,11 @@ impl NeutralizerNode {
     }
 
     /// §3.2 key setup: one cheap RSA encryption (or an offload forward).
-    fn handle_key_setup(&mut self, ctx: &mut Context, iface: IfaceId, frame: &[u8]) {
+    fn handle_key_setup(&mut self, ctx: &mut Context, frame: &[u8]) {
         let Ok(parsed) = parse_shim(frame) else {
             self.stat(ctx, "setup_parse_error");
             return;
         };
-        self.last_setup_iface = Some(iface);
-        // Pushback admission runs BEFORE any cryptography: rejecting a
-        // flooded aggregate must cost hashes, not RSA.
-        if let Some(pb) = &mut self.pushback {
-            if !pb.admit(ctx.now, parsed.ip.src) {
-                self.stat(ctx, "setup_pushback_reject");
-                return;
-            }
-        }
         let Ok((pubkey, _)) = RsaPublicKey::from_wire(parsed.payload) else {
             self.stat(ctx, "setup_bad_pubkey");
             return;
@@ -769,16 +743,12 @@ impl NeutralizerNode {
 
 impl Node for NeutralizerNode {
     fn on_start(&mut self, ctx: &mut Context) {
-        if let Some(cfg) = self.config.pushback {
-            self.pushback = Some(PushbackEngine::new(cfg, ctx.now));
-            ctx.set_timer(cfg.window, TOKEN_PUSHBACK_TICK);
-        }
         if let Some(lifetime) = self.config.key_lifetime {
             ctx.set_timer(lifetime, TOKEN_KEY_ROTATION);
         }
     }
 
-    fn on_packet(&mut self, ctx: &mut Context, iface: IfaceId, frame: FrameBuf) {
+    fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, frame: FrameBuf) {
         let Ok(ip) = Ipv4Packet::new_checked(&frame[..]) else {
             self.stat(ctx, "parse_error");
             ctx.recycle(frame);
@@ -799,7 +769,7 @@ impl Node for NeutralizerNode {
         };
         match shim_view.shim_type() {
             ShimType::KeySetup if self.is_service_addr(dst) => {
-                self.handle_key_setup(ctx, iface, &frame);
+                self.handle_key_setup(ctx, &frame);
             }
             ShimType::KeyReply if self.in_domain(src) => {
                 self.handle_key_reply_from_inside(ctx, &frame);
@@ -821,54 +791,13 @@ impl Node for NeutralizerNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Context, token: u64) {
-        match token {
-            TOKEN_PUSHBACK_TICK => {
-                let Some(pb) = &mut self.pushback else { return };
-                let window = pb.config().window;
-                let flagged = pb.tick(ctx.now);
-                let limit_bps = (pb.config().limit_pps * 8.0 * 120.0) as u64; // ~120B setup frames
-                let release = pb.config().release_after;
-                for prefix in flagged {
-                    self.stat(ctx, "pushback_flagged");
-                    // Ask upstream to police the aggregate (§3.6).
-                    if let Some(iface) = self.last_setup_iface {
-                        let msg = PushbackMsg {
-                            prefix: prefix.addr,
-                            prefix_len: prefix.prefix_len,
-                            rate_bps: limit_bps.max(1),
-                            duration_ns: release.as_nanos() as u64,
-                        };
-                        let shim = ShimRepr {
-                            shim_type: ShimType::Pushback,
-                            flags: 0,
-                            nonce: 0,
-                            addr_block: ShimRepr::EMPTY_BLOCK,
-                            stamp: None,
-                        };
-                        // Addressed link-locally to the upstream neighbor;
-                        // PushbackRouterNode intercepts by type.
-                        if let Ok(out) = build_shim(
-                            self.config.anycast,
-                            Ipv4Addr::new(255, 255, 255, 255),
-                            0,
-                            &shim,
-                            &msg.to_bytes(),
-                        ) {
-                            ctx.send(iface, out);
-                        }
-                    }
-                }
-                ctx.set_timer(window, TOKEN_PUSHBACK_TICK);
+        if token == TOKEN_KEY_ROTATION {
+            let fresh: [u8; 16] = ctx.rng.gen();
+            self.keys.rotate(fresh);
+            self.stat(ctx, "key_rotated");
+            if let Some(lifetime) = self.config.key_lifetime {
+                ctx.set_timer(lifetime, TOKEN_KEY_ROTATION);
             }
-            TOKEN_KEY_ROTATION => {
-                let fresh: [u8; 16] = ctx.rng.gen();
-                self.keys.rotate(fresh);
-                self.stat(ctx, "key_rotated");
-                if let Some(lifetime) = self.config.key_lifetime {
-                    ctx.set_timer(lifetime, TOKEN_KEY_ROTATION);
-                }
-            }
-            _ => {}
         }
     }
 }

@@ -172,45 +172,6 @@ impl KeyFetchReply {
     }
 }
 
-/// Payload of a `Pushback` control frame (§3.6): ask the upstream router
-/// to police an aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PushbackMsg {
-    /// Aggregate prefix address.
-    pub prefix: nn_packet::Ipv4Addr,
-    /// Aggregate prefix length.
-    pub prefix_len: u8,
-    /// Policing rate, bits/second.
-    pub rate_bps: u64,
-    /// How long the limit should stay installed, nanoseconds.
-    pub duration_ns: u64,
-}
-
-impl PushbackMsg {
-    /// Serializes (21 bytes).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(21);
-        out.extend_from_slice(&self.prefix.octets());
-        out.push(self.prefix_len);
-        out.extend_from_slice(&self.rate_bps.to_be_bytes());
-        out.extend_from_slice(&self.duration_ns.to_be_bytes());
-        out
-    }
-
-    /// Parses.
-    pub fn from_bytes(data: &[u8]) -> Result<Self, CryptoError> {
-        if data.len() != 21 {
-            return Err(CryptoError::BadLength);
-        }
-        Ok(PushbackMsg {
-            prefix: nn_packet::Ipv4Addr::new(data[0], data[1], data[2], data[3]),
-            prefix_len: data[4],
-            rate_bps: u64::from_be_bytes(data[5..13].try_into().unwrap()),
-            duration_ns: u64::from_be_bytes(data[13..21].try_into().unwrap()),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,17 +247,5 @@ mod tests {
         };
         assert_eq!(KeyFetchReply::from_bytes(&reply.to_bytes()).unwrap(), reply);
         assert!(KeyFetchReply::from_bytes(&reply.to_bytes()[..27]).is_err());
-    }
-
-    #[test]
-    fn pushback_roundtrip() {
-        let msg = PushbackMsg {
-            prefix: Ipv4Addr::new(10, 66, 0, 0),
-            prefix_len: 16,
-            rate_bps: 1_000_000,
-            duration_ns: 5_000_000_000,
-        };
-        assert_eq!(PushbackMsg::from_bytes(&msg.to_bytes()).unwrap(), msg);
-        assert!(PushbackMsg::from_bytes(&msg.to_bytes()[..20]).is_err());
     }
 }

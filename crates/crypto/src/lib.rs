@@ -16,8 +16,6 @@
 //! * [`sealed`] — the 16-byte encrypted-address block carried in the shim
 //!   header, with redundancy so wrong keys are detected.
 //! * [`e2e`] — the "IPsec black box" of §3.1 as a concrete hybrid channel.
-//! * [`factor`] — Pollard rho + cost models for the E6 security-window
-//!   experiment.
 //!
 //! Nothing here is intended as production cryptography — the repository
 //! reproduces a 2006 research design, including its deliberately short
@@ -33,7 +31,6 @@ pub mod cmac;
 pub mod ctr;
 pub mod e2e;
 pub mod error;
-pub mod factor;
 pub mod kdf;
 pub mod modexp;
 pub mod prime;

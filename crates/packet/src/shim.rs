@@ -48,8 +48,6 @@ pub enum ShimType {
     KeyFetch,
     /// Neutralizer → customer: plaintext `(nonce, Ks)` reply (§3.3).
     KeyFetchReply,
-    /// Neutralizer → upstream router: rate-limit an aggregate (§3.6).
-    Pushback,
 }
 
 impl ShimType {
@@ -61,7 +59,6 @@ impl ShimType {
             ShimType::Return => 4,
             ShimType::KeyFetch => 5,
             ShimType::KeyFetchReply => 6,
-            ShimType::Pushback => 7,
         }
     }
 
@@ -73,7 +70,6 @@ impl ShimType {
             4 => ShimType::Return,
             5 => ShimType::KeyFetch,
             6 => ShimType::KeyFetchReply,
-            7 => ShimType::Pushback,
             _ => return Err(PacketError::BadVersion),
         })
     }
@@ -375,11 +371,14 @@ mod tests {
             ShimPacket::new_checked(&buf[..]).unwrap_err(),
             PacketError::BadVersion
         );
-        buf[0] = (SHIM_VERSION << 4) | 0x0f; // type 15
-        assert_eq!(
-            ShimPacket::new_checked(&buf[..]).unwrap_err(),
-            PacketError::BadVersion
-        );
+        for unknown_type in [7, 0x0f] {
+            buf[0] = (SHIM_VERSION << 4) | unknown_type;
+            assert_eq!(
+                ShimPacket::new_checked(&buf[..]).unwrap_err(),
+                PacketError::BadVersion,
+                "type {unknown_type}"
+            );
+        }
         buf[0] = orig;
         buf[1] = 0xf0; // unknown flags
         assert_eq!(
@@ -397,7 +396,6 @@ mod tests {
             ShimType::Return,
             ShimType::KeyFetch,
             ShimType::KeyFetchReply,
-            ShimType::Pushback,
         ] {
             let repr = ShimRepr {
                 shim_type: t,

@@ -54,7 +54,6 @@ fn shim_build_parse_roundtrip_all_types() {
         ShimType::Return,
         ShimType::KeyFetch,
         ShimType::KeyFetchReply,
-        ShimType::Pushback,
     ] {
         let shim = ShimRepr {
             shim_type: t,
